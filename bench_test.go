@@ -191,7 +191,7 @@ func BenchmarkAblationTwoStage(b *testing.B) {
 // filter risks collapsing onto one of the two failure lobes.
 func BenchmarkAblationMultiFilter(b *testing.B) {
 	for _, filters := range []int{1, 2, 4} {
-		name := map[int]string{1: "filters-1", 2: "filters-2", 4: "filters-4"}[filters]
+		name := map[int]string{1: "filters=1", 2: "filters=2", 4: "filters=4"}[filters]
 		b.Run(name, func(b *testing.B) {
 			sims, p := ablationRun(b, core.Options{NIS: 20000, Filters: filters})
 			b.ReportMetric(sims, "sims")
@@ -204,7 +204,7 @@ func BenchmarkAblationMultiFilter(b *testing.B) {
 // (the paper uses 4).
 func BenchmarkAblationPolyDegree(b *testing.B) {
 	for _, deg := range []int{1, 2, 4} {
-		name := map[int]string{1: "degree-1", 2: "degree-2", 4: "degree-4"}[deg]
+		name := map[int]string{1: "degree=1", 2: "degree=2", 4: "degree=4"}[deg]
 		b.Run(name, func(b *testing.B) {
 			sims, p := ablationRun(b, core.Options{NIS: 20000, PolyDegree: deg})
 			b.ReportMetric(sims, "sims")
@@ -241,7 +241,7 @@ func BenchmarkAblationInitReuse(b *testing.B) {
 // visible over time.
 func BenchmarkEngineParallelism(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			sims, p := ablationRun(b, core.Options{NIS: 20000, Parallelism: workers})
 			b.ReportMetric(sims, "sims")
 			b.ReportMetric(p, "pfail")
@@ -249,25 +249,7 @@ func BenchmarkEngineParallelism(b *testing.B) {
 	}
 }
 
-// --- Multi-core scaling (pipelined vs staged stage-2) -------------------
-
-// execPathOpts pins the stage-2 execution path from ECRIPSE_EXEC_PATH
-// ("staged" forces the barrier-staged loop, "pipelined" or unset keeps the
-// default double-buffered pipeline) while leaving the benchmark name
-// unchanged — so `make bench-scaling` records two comparable documents and
-// benchjson diff pairs them by (name, procs). Estimates are bit-identical
-// either way; only wall-clock may differ.
-func execPathOpts(b *testing.B, opts core.Options) core.Options {
-	b.Helper()
-	switch mode := os.Getenv("ECRIPSE_EXEC_PATH"); mode {
-	case "staged":
-		opts.NoPipeline = true
-	case "pipelined", "":
-	default:
-		b.Fatalf("ECRIPSE_EXEC_PATH=%q (want staged, pipelined, or unset)", mode)
-	}
-	return opts
-}
+// --- Multi-core scaling -------------------------------------------------
 
 // BenchmarkFig7Scaling runs the Fig. 7 workload — the RTN-aware read-failure
 // estimate at alpha=0.3 — with intra-job parallelism tied to GOMAXPROCS, so
@@ -278,11 +260,11 @@ func BenchmarkFig7Scaling(b *testing.B) {
 	cell := sram.NewCell(device.VddLow)
 	cfg := rtn.TableIConfig(cell)
 	for _, lanes := range []int{64, 256} {
-		b.Run(fmt.Sprintf("lanes-%d", lanes), func(b *testing.B) {
-			opts := execPathOpts(b, core.Options{
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			opts := core.Options{
 				NIS: 10000, M: 5, BatchLanes: lanes,
 				Parallelism: runtime.GOMAXPROCS(0),
-			})
+			}
 			var sims, p float64
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(int64(i + 1)))
@@ -304,9 +286,9 @@ func BenchmarkFig7Scaling(b *testing.B) {
 func BenchmarkFig8Scaling(b *testing.B) {
 	cell := sram.NewCell(device.VddLow)
 	cfg := rtn.TableIConfig(cell)
-	opts := execPathOpts(b, core.Options{
+	opts := core.Options{
 		NIS: 6000, M: 5, Parallelism: runtime.GOMAXPROCS(0),
-	})
+	}
 	alphas := []float64{0.1, 0.3, 0.5}
 	var sims float64
 	for i := 0; i < b.N; i++ {

@@ -14,13 +14,17 @@
 //
 // Each benchmark result line
 //
-//	BenchmarkFig6ProposedVsConventional/vdd-0.50-8  1  123456 ns/op  4096 sims
+//	BenchmarkFig7Scaling/lanes=64-8  1  123456 ns/op  4096 sims
 //
 // becomes one record carrying the name, the GOMAXPROCS suffix, the
 // iteration count and every reported metric (ns/op, B/op, allocs/op and
-// any custom b.ReportMetric units such as sims or pfail). With -count N
-// the same benchmark yields N records; downstream tooling aggregates.
-// Non-benchmark lines (PASS, ok, pkg headers) are ignored.
+// any custom b.ReportMetric units such as sims or pfail). go test omits
+// the suffix when GOMAXPROCS is 1, which the record keeps as procs 0; the
+// repo's sub-benchmark names therefore never end in -<digits> (they use
+// key=value), so a trailing -N is always GOMAXPROCS. With -count N the
+// same benchmark yields N records; downstream tooling aggregates. The
+// "cpu:" header go test prints is kept as the document's CPU model; other
+// non-benchmark lines (PASS, ok, goos/pkg headers) are ignored.
 package main
 
 import (
@@ -45,14 +49,15 @@ type Record struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// Document is the emitted file: run metadata plus all records.
+// Document is the emitted file: run metadata plus all records. The
+// benchmark run's GOMAXPROCS is per record (Procs), never the recorder's.
 type Document struct {
-	Date       string   `json:"date"`
-	GoVersion  string   `json:"go_version"`
-	GoMaxProcs int      `json:"gomaxprocs"`
-	GoOS       string   `json:"goos"`
-	GoArch     string   `json:"goarch"`
-	Records    []Record `json:"records"`
+	Date      string   `json:"date"`
+	GoVersion string   `json:"go_version"`
+	CPU       string   `json:"cpu,omitempty"`
+	GoOS      string   `json:"goos"`
+	GoArch    string   `json:"goarch"`
+	Records   []Record `json:"records"`
 }
 
 // benchLine matches "Benchmark<Name>[-procs] <iters> <metrics...>".
@@ -88,17 +93,22 @@ func parseLine(line string) (Record, bool) {
 	return rec, true
 }
 
-// parse reads benchmark output and collects all result records.
-func parse(r io.Reader) ([]Record, error) {
-	var recs []Record
+// parse reads benchmark output and collects all result records and the
+// "cpu:" header into a document (run metadata other than CPU is the
+// caller's).
+func parse(r io.Reader) (Document, error) {
+	var doc Document
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
-		if rec, ok := parseLine(sc.Text()); ok {
-			recs = append(recs, rec)
+		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			doc.CPU = strings.TrimSpace(cpu)
+		} else if rec, ok := parseLine(line); ok {
+			doc.Records = append(doc.Records, rec)
 		}
 	}
-	return recs, sc.Err()
+	return doc, sc.Err()
 }
 
 func main() {
@@ -110,23 +120,19 @@ func main() {
 	date := flag.String("date", time.Now().UTC().Format("2006-01-02"), "run date stamped into the document")
 	flag.Parse()
 
-	recs, err := parse(os.Stdin)
+	doc, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: read: %v\n", err)
 		os.Exit(1)
 	}
-	if len(recs) == 0 {
+	if len(doc.Records) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark results on stdin")
 		os.Exit(1)
 	}
-	doc := Document{
-		Date:       *date,
-		GoVersion:  runtime.Version(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoOS:       runtime.GOOS,
-		GoArch:     runtime.GOARCH,
-		Records:    recs,
-	}
+	doc.Date = *date
+	doc.GoVersion = runtime.Version()
+	doc.GoOS = runtime.GOOS
+	doc.GoArch = runtime.GOARCH
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: encode: %v\n", err)
@@ -141,5 +147,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d records to %s\n", len(recs), *out)
+	fmt.Fprintf(os.Stderr, "benchjson: wrote %d records to %s\n", len(doc.Records), *out)
 }

@@ -38,15 +38,20 @@ func TestParseSkipsNonBenchmarkLines(t *testing.T) {
 	out := `goos: linux
 goarch: amd64
 pkg: ecripse
+cpu: Intel(R) Xeon(R) Processor
 BenchmarkDeviceIds-2  100  52 ns/op
 BenchmarkDeviceIds-2  100  51 ns/op
 PASS
 ok  	ecripse	1.234s
 `
-	recs, err := parse(strings.NewReader(out))
+	doc, err := parse(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if doc.CPU != "Intel(R) Xeon(R) Processor" {
+		t.Fatalf("cpu header = %q", doc.CPU)
+	}
+	recs := doc.Records
 	if len(recs) != 2 {
 		t.Fatalf("parsed %d records, want 2", len(recs))
 	}
@@ -64,5 +69,31 @@ func TestParseLineNoProcsSuffix(t *testing.T) {
 	}
 	if rec.Procs != 0 || rec.Iterations != 2048 {
 		t.Fatalf("bad fields: %+v", rec)
+	}
+}
+
+// TestParseLineScalingAtOneAndFourCPUs pins the two shapes a -cpu 1,4
+// scaling run prints for one sub-benchmark: at GOMAXPROCS 1 go test drops
+// the suffix, so the lanes=64 value must stay in the name rather than be
+// read as procs; at GOMAXPROCS 4 only the trailing -4 is procs.
+func TestParseLineScalingAtOneAndFourCPUs(t *testing.T) {
+	for _, tc := range []struct {
+		line  string
+		procs int
+	}{
+		{"BenchmarkFig7Scaling/lanes=64         \t       1\t 235034567 ns/op\t   0.01610 pfail\t  2070 sims", 0},
+		{"BenchmarkFig7Scaling/lanes=64-4       \t       1\t 101234567 ns/op\t   0.01610 pfail\t  2070 sims", 4},
+	} {
+		rec, ok := parseLine(tc.line)
+		if !ok {
+			t.Fatalf("line not recognised: %q", tc.line)
+		}
+		if rec.Name != "BenchmarkFig7Scaling/lanes=64" || rec.Procs != tc.procs {
+			t.Fatalf("%q: name %q procs %d, want BenchmarkFig7Scaling/lanes=64 procs %d",
+				tc.line, rec.Name, rec.Procs, tc.procs)
+		}
+		if rec.Metrics["sims"] != 2070 {
+			t.Fatalf("%q: metrics %v", tc.line, rec.Metrics)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -20,9 +19,6 @@ import (
 type batchScratch struct {
 	shs     []sram.Shifts
 	margins []float64
-	esc     []int
-	escSh   []sram.Shifts
-	escM    []float64
 	res     []sram.SNMResult
 	tallies []solverTally
 }
@@ -86,43 +82,9 @@ func (e *Engine) simulateBatch(us []linalg.Vector, out []bool) {
 	e.shiftsInto(us, shs)
 	sc.margins = growFloats(sc.margins, n)
 	margins := sc.margins
-	if e.Opts.AdaptiveGrid {
-		// Tiered fidelity, batched: the coarse grid decides the whole batch
-		// first, then the samples inside the conservative band escalate to
-		// the full grid as one (smaller) batch. Tier decisions are the same
-		// pure function of the shift vector as in the scalar indicator.
-		// The counters are single adds at the barrier — the per-worker
-		// tallies live inside marginBatch.
-		atomic.AddInt64(&e.coarseSims, int64(n))
-		e.marginBatch(shs, margins, e.coarseOpts)
-		esc := sc.esc[:0]
-		for i, m := range margins {
-			if math.Abs(m) >= e.Opts.EscalationBand {
-				out[i] = m < 0
-			} else {
-				esc = append(esc, i)
-			}
-		}
-		sc.esc = esc
-		if len(esc) > 0 {
-			atomic.AddInt64(&e.escalated, int64(len(esc)))
-			sc.escSh = growShifts(sc.escSh, len(esc))
-			escSh := sc.escSh
-			for j, i := range esc {
-				escSh[j] = shs[i]
-			}
-			sc.escM = growFloats(sc.escM, len(esc))
-			escM := sc.escM
-			e.marginBatch(escSh, escM, e.snmOpts)
-			for j, i := range esc {
-				out[i] = escM[j] < 0
-			}
-		}
-	} else {
-		e.marginBatch(shs, margins, e.snmOpts)
-		for i, m := range margins {
-			out[i] = m < 0
-		}
+	e.marginBatch(shs, margins)
+	for i, m := range margins {
+		out[i] = m < 0
 	}
 	if h != nil {
 		// One observation per simulation, each billed the batch mean, so the
@@ -135,9 +97,10 @@ func (e *Engine) simulateBatch(us []linalg.Vector, out []bool) {
 // vector, chunked to the lockstep lane width; chunks spread across the
 // engine's workers. Each margin is bit-identical to the scalar margin().
 // Solver telemetry accumulates in padded per-worker tallies and merges into
-// the options' telemetry once after the fan-out, so concurrent chunks never
-// contend on the engine's shared counters.
-func (e *Engine) marginBatch(shs []sram.Shifts, out []float64, opts *sram.SNMOptions) {
+// the engine's solver telemetry once after the fan-out, so concurrent
+// chunks never contend on the engine's shared counters.
+func (e *Engine) marginBatch(shs []sram.Shifts, out []float64) {
+	opts := e.snmOpts
 	if e.Opts.Mode == WriteFailure {
 		// No batched write-margin solver (yet): the write indicator keeps
 		// the scalar solve, parallel across samples.
@@ -187,21 +150,21 @@ func (e *Engine) marginBatch(shs []sram.Shifts, out []float64, opts *sram.SNMOpt
 	}
 }
 
-// stagedEval adapts the engine's labeling rules to the staged batch
-// contract of montecarlo.ImportanceSampleParStaged and
-// pfilter.StepParStaged, and — for the stage-2 rule — to the pipelined
-// contract of montecarlo.ImportanceSampleParPipelined. Prepare replays
-// exactly the randomness and the classify-or-simulate decisions of the
-// scalar labeler — decisions depend only on the point and on classifier
-// state frozen at the barrier, never on pending simulation results, which
-// is what makes the split exact — labeling classifier-decided draws
-// immediately and parking the rest. Generate/Score are Prepare cut at the
+// stagedEval adapts the engine's labeling rules to the batch contracts:
+// the stage-1 rule to the staged contract of pfilter.StepParStaged, the
+// stage-2 rule to the pipelined contract of
+// montecarlo.ImportanceSampleParPipelined. Both replay exactly the
+// randomness and the classify-or-simulate decisions of the scalar labeler —
+// decisions depend only on the point and on classifier state frozen at the
+// barrier, never on pending simulation results, which is what makes the
+// split exact — labeling classifier-decided draws immediately and parking
+// the rest. Stage 1 does it in one step (Prepare); stage 2 cuts it at the
 // classifier boundary: Generate stages the raw draws (randomness only, no
 // classifier reads, safe to overlap with a settling barrier) and Score
-// applies the same frozen-classifier decisions afterwards. Resolve settles
-// every parked draw of the window through one simulateBatch sweep and
-// records the observations for the classifier replay at the caller's flush
-// barrier, preserving per-index draw order.
+// applies the frozen-classifier decisions afterwards. Resolve settles every
+// parked draw of the window through one simulateBatch sweep and records the
+// observations for the classifier replay at the caller's flush barrier,
+// preserving per-index draw order.
 type stagedEval struct {
 	e       *Engine
 	lab     *batchLabeler
@@ -218,14 +181,14 @@ type stagedEval struct {
 type stagedSlot struct {
 	fails      int             // failures among classifier-decided draws, then all draws
 	classified int             // draws answered by the classifier (folded at Resolve)
-	draws      []linalg.Vector // staged RTN draws awaiting Score (pipelined path)
+	draws      []linalg.Vector // staged RTN draws awaiting Score (stage 2)
 	deferred   []linalg.Vector // draws parked for the batched indicator
 }
 
 // newStagedEval sizes the ring for the widest barrier window the caller
-// will resolve: the stage-2 batch size, a whole stage-1 round — or, on the
-// pipelined path, twice the batch size, because batch k+1 generates into
-// the ring while batch k is still being read.
+// will resolve: a whole stage-1 round, or twice the stage-2 batch size,
+// because batch k+1 generates into the ring while batch k is still being
+// read.
 func newStagedEval(e *Engine, lab *batchLabeler, sampler *rtn.Sampler, m int, stage1 bool, window int) *stagedEval {
 	return &stagedEval{e: e, lab: lab, sampler: sampler, m: m, stage1: stage1, slots: make([]stagedSlot, window)}
 }
@@ -247,9 +210,9 @@ func (s *stagedEval) draw(rng *rand.Rand, x linalg.Vector) linalg.Vector {
 	return u
 }
 
-// Prepare implements montecarlo.StagedValue. It consumes rng exactly as
-// rtnValue under labelStage1/labelStage2 would: one RTN draw per inner
-// sample, plus (stage 1, trained classifier) one uniform per draw for the
+// Prepare implements montecarlo.StagedValue for the stage-1 rule. It
+// consumes rng exactly as rtnValue under labelStage1 would: one RTN draw
+// per inner sample, plus (trained classifier) one uniform per draw for the
 // train-fraction decision.
 func (s *stagedEval) Prepare(rng *rand.Rand, k int, x linalg.Vector) {
 	sl := &s.slots[k%len(s.slots)]
@@ -259,37 +222,25 @@ func (s *stagedEval) Prepare(rng *rand.Rand, k int, x linalg.Vector) {
 	e := s.e
 	for d := 0; d < s.m; d++ {
 		u := s.draw(rng, x)
-		if s.stage1 {
-			if e.classifierOff() || !s.lab.trained || rng.Float64() < e.Opts.TrainFrac {
-				sl.deferred = append(sl.deferred, u)
-			} else {
-				sl.classified++
-				if s.lab.score(u) > 0 {
-					sl.fails++
-				}
-			}
+		if e.classifierOff() || !s.lab.trained || rng.Float64() < e.Opts.TrainFrac {
+			sl.deferred = append(sl.deferred, u)
 			continue
 		}
-		if !e.classifierOff() && s.lab.trained && (e.trustR <= 0 || u.Norm() <= e.trustR) {
-			if sc := s.lab.score(u); sc <= -e.Opts.Band || sc >= e.Opts.Band {
-				sl.classified++
-				if sc > 0 {
-					sl.fails++
-				}
-				continue
-			}
+		sl.classified++
+		if s.lab.score(u) > 0 {
+			sl.fails++
 		}
-		sl.deferred = append(sl.deferred, u)
 	}
 }
 
-// Generate implements montecarlo.PipelinedValue: the classifier-free half
-// of Prepare. It consumes rng exactly as Prepare would — the stage-2 rule
-// draws no uniforms, so the whole consumption is the m RTN draws — and
-// stages the candidate points in the slot for Score. It reads no classifier
-// or labeler state, which is what lets it overlap the previous batch's
-// settlement. Stage 1 has no such split (its train-fraction uniform is
-// interleaved with classifier state), so the stage-1 rule is staged-only.
+// Generate implements montecarlo.PipelinedValue for the stage-2 rule: the
+// classifier-free half of its labeling. It consumes rng exactly as rtnValue
+// under labelStage2 would — the stage-2 rule draws no uniforms, so the
+// whole consumption is the m RTN draws — and stages the candidate points in
+// the slot for Score. It reads no classifier or labeler state, which is
+// what lets it overlap the previous batch's settlement. Stage 1 has no such
+// split (its train-fraction uniform is interleaved with classifier state),
+// so the stage-1 rule is staged-only.
 func (s *stagedEval) Generate(rng *rand.Rand, k int, x linalg.Vector) {
 	if s.stage1 {
 		panic("core: stage-1 rule cannot generate ahead of the barrier")
@@ -305,10 +256,10 @@ func (s *stagedEval) Generate(rng *rand.Rand, k int, x linalg.Vector) {
 }
 
 // Score implements montecarlo.PipelinedValue: the frozen-classifier half of
-// Prepare, run after the previous batch's flush barrier. Draw order is
-// preserved, so the deferred list — and with it the simulateBatch ordering
-// and the classifier replay — matches Prepare bit for bit. w indexes the
-// per-worker scorer scratch.
+// the stage-2 labeling, run after the previous batch's flush barrier. Draw
+// order is preserved, so the deferred list — and with it the simulateBatch
+// ordering and the classifier replay — matches the scalar labelStage2 bit
+// for bit. w indexes the per-worker scorer scratch.
 func (s *stagedEval) Score(w, k int) {
 	sl := &s.slots[k%len(s.slots)]
 	e := s.e

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -37,8 +36,7 @@ type Engine struct {
 
 	sigma      linalg.Vector // per-transistor RDF sigma [V]
 	whiten     *linalg.Whitener
-	snmOpts    *sram.SNMOptions // full-fidelity grid (the exact indicator)
-	coarseOpts *sram.SNMOptions // coarse first-tier grid (AdaptiveGrid only)
+	snmOpts    *sram.SNMOptions // VTC grid of the indicator
 	classifier *svm.Classifier
 	initial    []linalg.Vector // shared boundary particles (normalized space)
 	trustR     float64         // classifier trust radius (normalized units)
@@ -49,8 +47,6 @@ type Engine struct {
 	initSims   int64
 	warmupSims int64
 	classified int64 // labels answered by the classifier (free); atomic
-	coarseSims int64 // adaptive samples answered at the coarse tier; atomic
-	escalated  int64 // adaptive samples escalated to the full grid; atomic
 	solver     sram.SolveTelemetry
 
 	// scratch holds the reusable batch-barrier buffers (see batchScratch);
@@ -74,7 +70,6 @@ func NewEngine(cell *sram.Cell, counter *montecarlo.Counter, opts Options) *Engi
 	}
 	e.snmOpts.Telemetry = &e.solver
 	e.snmOpts.Lanes = opts.BatchLanes
-	e.coarseOpts = &sram.SNMOptions{GridN: 16, BisectIter: 24, Lanes: opts.BatchLanes, Telemetry: &e.solver}
 	if opts.Covariance != nil {
 		w, err := linalg.NewWhitener(linalg.NewVector(sram.NumTransistors), opts.Covariance)
 		if err != nil {
@@ -121,32 +116,19 @@ func (e *Engine) shifts(u linalg.Vector) sram.Shifts {
 // indicator is the untimed indicator body.
 func (e *Engine) indicator(u linalg.Vector) bool {
 	e.Counter.Add(1)
-	sh := e.shifts(u)
-	if e.Opts.AdaptiveGrid {
-		// Tiered fidelity: a coarse-grid margin decides most samples; only
-		// those inside the conservative band around zero pay for the full
-		// grid. Both tiers are pure functions of sh, so the label — and the
-		// escalation decision itself — is deterministic and independent of
-		// worker scheduling.
-		atomic.AddInt64(&e.coarseSims, 1)
-		if m := e.margin(sh, e.coarseOpts); math.Abs(m) >= e.Opts.EscalationBand {
-			return m < 0
-		}
-		atomic.AddInt64(&e.escalated, 1)
-	}
-	return e.margin(sh, e.snmOpts) < 0
+	return e.margin(e.shifts(u)) < 0
 }
 
 // margin evaluates the mode's signed margin [V]; every failure criterion is
 // margin < 0 (read/hold: Seevinck SNM, write: static write margin).
-func (e *Engine) margin(sh sram.Shifts, opts *sram.SNMOptions) float64 {
+func (e *Engine) margin(sh sram.Shifts) float64 {
 	switch e.Opts.Mode {
 	case WriteFailure:
-		return e.Cell.WriteMargin(sh, opts)
+		return e.Cell.WriteMargin(sh, e.snmOpts)
 	case HoldFailure:
-		return e.Cell.HoldSNM(sh, opts)
+		return e.Cell.HoldSNM(sh, e.snmOpts)
 	default:
-		return e.Cell.ReadSNM(sh, opts)
+		return e.Cell.ReadSNM(sh, e.snmOpts)
 	}
 }
 
@@ -305,8 +287,6 @@ func (e *Engine) Run(rng *rand.Rand, sampler *rtn.Sampler) Result {
 func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sampler) (Result, error) {
 	start := e.Counter.Count()
 	classifiedStart := atomic.LoadInt64(&e.classified)
-	coarseStart := atomic.LoadInt64(&e.coarseSims)
-	escalatedStart := atomic.LoadInt64(&e.escalated)
 	solvesStart, itersStart := e.solver.Totals()
 	laneSlotsStart, laneOccStart := e.solver.LaneTotals()
 	// Telemetry carriers, resolved once: spans record the phase timeline,
@@ -454,17 +434,13 @@ func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sample
 	}
 	var series stats.Series
 	var pipe montecarlo.PipelineStats
-	switch {
-	case e.Opts.scalarPath:
+	if e.Opts.scalarPath {
 		series = montecarlo.ImportanceSamplePar(ctx, proposal, value, e.Opts.NIS, po, e.Counter, e.Opts.RecordEvery)
-	case e.Opts.NoPipeline:
-		sv2 := newStagedEval(e, lab, sampler, m, false, stage2Batch)
-		series = montecarlo.ImportanceSampleParStaged(ctx, proposal, sv2, e.Opts.NIS, po, e.Counter, e.Opts.RecordEvery)
-	default:
-		// Pipelined staged execution: the ring spans two batches so batch
-		// k+1 can generate (draws + proposal log-densities, both
-		// classifier-independent) while batch k settles; scoring replays
-		// after the flush barrier, so the bits match the staged path.
+	} else {
+		// Pipelined execution: the ring spans two batches so batch k+1 can
+		// generate its classifier-independent draws while batch k settles;
+		// scoring replays after the flush barrier, so the bits match the
+		// scalar path.
 		pv := newStagedEval(e, lab, sampler, m, false, 2*stage2Batch)
 		po.PipeStats = &pipe
 		series = montecarlo.ImportanceSampleParPipelined(ctx, proposal, pv, e.Opts.NIS, po, e.Counter, e.Opts.RecordEvery)
@@ -497,8 +473,6 @@ func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sample
 		Classified:       atomic.LoadInt64(&e.classified) - classifiedStart,
 		RootSolves:       solves - solvesStart,
 		SolverIters:      iters - itersStart,
-		CoarseSims:       atomic.LoadInt64(&e.coarseSims) - coarseStart,
-		Escalated:        atomic.LoadInt64(&e.escalated) - escalatedStart,
 		LaneSlots:        laneSlots - laneSlotsStart,
 		LaneOccupied:     laneOcc - laneOccStart,
 		PipelinedBatches: pipe.Batches,

@@ -21,11 +21,9 @@ type Result struct {
 	Stage2Sims int64 // stage-2 uncertain-band simulations
 	Classified int64 // labels answered by the classifier (no simulation)
 
-	// Solver effort and tiered-fidelity accounting for this run.
+	// Solver effort for this run.
 	RootSolves  int64 // half-cell root solves spent
 	SolverIters int64 // residual evaluations inside the root-search loops
-	CoarseSims  int64 // adaptive samples evaluated at the coarse tier (0 in exact mode)
-	Escalated   int64 // adaptive samples escalated to the full grid
 
 	// Lane-utilization accounting for the batched indicator (0 on the
 	// scalar path): kernel slots issued by the lockstep solver and the
@@ -36,7 +34,7 @@ type Result struct {
 
 	// Pipelined-execution accounting for the stage-2 loop. PipelinedBatches
 	// is deterministic (the number of barrier windows the pipelined driver
-	// completed; 0 on the staged and scalar paths). The NS fields are
+	// completed; 0 on the scalar path). The NS fields are
 	// wall-clock overlap telemetry — generation time, barrier stall waiting
 	// on generation, and settlement time — and are observational only: the
 	// service layer keeps them out of content-addressed results, exactly
@@ -59,9 +57,6 @@ type Result struct {
 func (r Result) String() string {
 	s := fmt.Sprintf("%v  (init=%d warmup=%d stage1=%d stage2=%d classified=%d solves=%d)",
 		r.Estimate, r.InitSims, r.WarmupSims, r.Stage1Sims, r.Stage2Sims, r.Classified, r.RootSolves)
-	if r.CoarseSims > 0 {
-		s += fmt.Sprintf(" [adaptive: coarse=%d escalated=%d]", r.CoarseSims, r.Escalated)
-	}
 	if r.LaneSlots > 0 {
 		s += fmt.Sprintf(" [lanes: %.0f%% occupied]", 100*r.LaneUtilization())
 	}

@@ -14,8 +14,8 @@ import (
 
 // requireResultMatch pins every deterministic field of got to want:
 // estimate bits, convergence series, cost split, solver-effort counters,
-// adaptive split, stage-1 diagnostics and proposal. Lane and pipeline
-// counters are path-dependent and checked by the caller.
+// stage-1 diagnostics and proposal. Lane and pipeline counters are
+// path-dependent and checked by the caller.
 func requireResultMatch(t *testing.T, label string, got, want Result) {
 	t.Helper()
 	if math.Float64bits(got.Estimate.P) != math.Float64bits(want.Estimate.P) ||
@@ -37,9 +37,6 @@ func requireResultMatch(t *testing.T, label string, got, want Result) {
 		t.Fatalf("%s: solver effort diverged: got solves=%d iters=%d, want solves=%d iters=%d",
 			label, got.RootSolves, got.SolverIters, want.RootSolves, want.SolverIters)
 	}
-	if got.CoarseSims != want.CoarseSims || got.Escalated != want.Escalated {
-		t.Fatalf("%s: adaptive split diverged: got %v, want %v", label, got, want)
-	}
 	if !reflect.DeepEqual(got.PFRounds, want.PFRounds) {
 		t.Fatalf("%s: stage-1 diagnostics diverged", label)
 	}
@@ -49,8 +46,8 @@ func requireResultMatch(t *testing.T, label string, got, want Result) {
 }
 
 // stagedCases are the five engine configurations the path-equivalence
-// suites pin: plain RDF, RTN, adaptive tiering, the no-classifier ablation
-// and hold mode at a non-default lane width.
+// suites pin: plain RDF, RTN, RDF on four workers, the no-classifier
+// ablation and hold mode at a non-default lane width.
 var stagedCases = []struct {
 	name string
 	opts Options
@@ -58,7 +55,7 @@ var stagedCases = []struct {
 }{
 	{"rdf", Options{NIS: 4000, Directions: 64, WarmupTrain: 120, PFIters: 3, RecordEvery: 300}, false},
 	{"rtn", Options{NIS: 1200, M: 5, Directions: 64, WarmupTrain: 120, PFIters: 3}, true},
-	{"adaptive-parallel", Options{NIS: 3000, AdaptiveGrid: true, Parallelism: 4, Directions: 64, WarmupTrain: 120, PFIters: 2}, false},
+	{"rdf-parallel", Options{NIS: 3000, Parallelism: 4, Directions: 64, WarmupTrain: 120, PFIters: 2}, false},
 	{"noclassifier", Options{NIS: 800, NoClassifier: true, Directions: 48, PFIters: 2}, false},
 	{"hold-lanes256", Options{Mode: HoldFailure, NIS: 1500, BatchLanes: 256, Directions: 48, WarmupTrain: 120, PFIters: 2}, false},
 }
@@ -71,12 +68,12 @@ func stagedSampler(cell *sram.Cell, cfg rtn.Config, want bool) *rtn.Sampler {
 	return rtn.NewSampler(cell, cfg, 0.3)
 }
 
-// TestStagedMatchesScalar pins the batched evaluation paths — staged
-// boundary search, warm-up labeling, particle-filter measurement and
-// stage-2 importance sampling, all settling their indicator calls through
-// simulateBatch, with stage 2 either barrier-staged or pipelined — to the
-// per-sample scalar path bit for bit: identical estimate, convergence
-// series, cost split and solver-effort counters for the same seed.
+// TestStagedMatchesScalar pins the batched evaluation path — staged
+// boundary search, warm-up labeling and particle-filter measurement, then
+// pipelined stage-2 importance sampling, all settling their indicator calls
+// through simulateBatch — to the per-sample scalar path bit for bit:
+// identical estimate, convergence series, cost split and solver-effort
+// counters for the same seed.
 func TestStagedMatchesScalar(t *testing.T) {
 	cell := sram.NewCell(0.5)
 	cfg := rtn.TableIConfig(cell)
@@ -87,36 +84,25 @@ func TestStagedMatchesScalar(t *testing.T) {
 			scalarOpts.scalarPath = true
 			want := NewEngine(cell, nil, scalarOpts).Run(rand.New(rand.NewSource(91)), sampler)
 
-			stagedOpts := tc.opts
-			stagedOpts.NoPipeline = true
-			staged := NewEngine(cell, nil, stagedOpts).Run(rand.New(rand.NewSource(91)), sampler)
-			requireResultMatch(t, "staged-vs-scalar", staged, want)
-
 			piped := NewEngine(cell, nil, tc.opts).Run(rand.New(rand.NewSource(91)), sampler)
 			requireResultMatch(t, "pipelined-vs-scalar", piped, want)
 
 			// The lane counters are the one legitimate difference: only the
-			// batched paths issue kernel slots. Write mode keeps the scalar
+			// batched path issues kernel slots. Write mode keeps the scalar
 			// solver, so it is exempt.
 			if want.LaneSlots != 0 {
 				t.Fatalf("scalar path issued lane slots: %d", want.LaneSlots)
 			}
-			for _, got := range []Result{staged, piped} {
-				if tc.opts.Mode != WriteFailure && got.LaneSlots == 0 {
-					t.Fatalf("batched path issued no lane slots")
-				}
-				if got.LaneOccupied > got.LaneSlots {
-					t.Fatalf("lane occupancy %d exceeds slots %d", got.LaneOccupied, got.LaneSlots)
-				}
+			if tc.opts.Mode != WriteFailure && piped.LaneSlots == 0 {
+				t.Fatalf("batched path issued no lane slots")
 			}
-			if staged.LaneSlots != piped.LaneSlots || staged.LaneOccupied != piped.LaneOccupied {
-				t.Fatalf("lane accounting diverged between staged (%d/%d) and pipelined (%d/%d)",
-					staged.LaneOccupied, staged.LaneSlots, piped.LaneOccupied, piped.LaneSlots)
+			if piped.LaneOccupied > piped.LaneSlots {
+				t.Fatalf("lane occupancy %d exceeds slots %d", piped.LaneOccupied, piped.LaneSlots)
 			}
 			// Pipeline accounting: only the pipelined path runs barrier
 			// windows, exactly ceil(NIS/batch) of them.
-			if want.PipelinedBatches != 0 || staged.PipelinedBatches != 0 {
-				t.Fatalf("non-pipelined paths recorded pipelined batches")
+			if want.PipelinedBatches != 0 {
+				t.Fatalf("scalar path recorded pipelined batches")
 			}
 			if wantBatches := int64((tc.opts.NIS + stage2Batch - 1) / stage2Batch); piped.PipelinedBatches != wantBatches {
 				t.Fatalf("pipelined batches = %d, want %d", piped.PipelinedBatches, wantBatches)
@@ -128,18 +114,18 @@ func TestStagedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPipelinedParallelismMatrix pins the pipelined and staged paths to the
-// serial scalar reference across worker counts 1, 2 and 8 for every engine
-// configuration: one schedule, one bit pattern, at any parallelism, on
-// either stage-2 execution strategy. Run under -race in CI, this is the
-// suite that licenses the pipeline's concurrency.
+// TestPipelinedParallelismMatrix pins the pipelined path to the serial
+// scalar reference across worker counts 1, 2 and 8 for every engine
+// configuration: one schedule, one bit pattern, at any parallelism. Run
+// under -race in CI, this is the suite that licenses the pipeline's
+// concurrency.
 func TestPipelinedParallelismMatrix(t *testing.T) {
 	cell := sram.NewCell(0.5)
 	cfg := rtn.TableIConfig(cell)
 	for _, tc := range stagedCases {
 		t.Run(tc.name, func(t *testing.T) {
 			sampler := stagedSampler(cell, cfg, tc.rtn)
-			// Shrink the workloads: the matrix multiplies runs sevenfold and
+			// Shrink the workloads: the matrix multiplies runs fourfold and
 			// the schedule is identical at any size.
 			opts := tc.opts
 			opts.NIS = tc.opts.NIS / 4
@@ -150,15 +136,9 @@ func TestPipelinedParallelismMatrix(t *testing.T) {
 			scalarOpts.Parallelism = 1
 			want := NewEngine(cell, nil, scalarOpts).Run(rand.New(rand.NewSource(17)), sampler)
 			for _, par := range []int{1, 2, 8} {
-				stagedOpts := opts
-				stagedOpts.Parallelism = par
-				stagedOpts.NoPipeline = true
-				got := NewEngine(cell, nil, stagedOpts).Run(rand.New(rand.NewSource(17)), sampler)
-				requireResultMatch(t, fmt.Sprintf("staged par=%d", par), got, want)
-
 				pipedOpts := opts
 				pipedOpts.Parallelism = par
-				got = NewEngine(cell, nil, pipedOpts).Run(rand.New(rand.NewSource(17)), sampler)
+				got := NewEngine(cell, nil, pipedOpts).Run(rand.New(rand.NewSource(17)), sampler)
 				requireResultMatch(t, fmt.Sprintf("pipelined par=%d", par), got, want)
 			}
 		})

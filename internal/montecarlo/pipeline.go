@@ -18,7 +18,7 @@ import (
 //
 //   - Generate(rng, k, x) is the classifier-independent half: it must
 //     consume exactly the randomness Prepare would for sample k (so the
-//     staged and pipelined paths stay bit-identical) and stage the sample's
+//     pipelined and scalar paths stay bit-identical) and stage the sample's
 //     raw draws in slot k — but it must not read any state that a flush
 //     barrier mutates. It runs concurrently with the previous batch's
 //     Resolve/Value/Flush, so this restriction is load-bearing.
@@ -105,23 +105,24 @@ func recordPipelineTotals(p PipelineStats) {
 	totalPipeline.settle.Add(p.SettleNS)
 }
 
-// ImportanceSampleParPipelined is ImportanceSampleParStaged with the batch
-// barrier double-buffered: while batch k's deferred indicator work settles
+// ImportanceSampleParPipelined is ImportanceSamplePar with the per-sample
+// evaluation routed through a PipelinedValue, so each barrier batch
+// settles its deferred indicator work in bulk, and with the batch barrier
+// double-buffered: while batch k's deferred indicator work settles
 // (Resolve), its terms assemble and its classifier updates replay, the
 // workers are already generating batch k+1's proposal draws and staging
 // their evaluation points — a pure function of (Seed, sample index), which
 // is why it may run before the barrier lands. Scoring of batch k+1
-// happens only after batch k's Flush, exactly where the staged driver
-// would run it, so the estimate, the recorded series and every classifier
-// decision are bit-identical to the staged (and scalar) drivers at any
-// Workers setting.
+// happens only after batch k's Flush, exactly where the scalar driver
+// evaluates it, so the estimate, the recorded series and every classifier
+// decision are bit-identical to ImportanceSamplePar over an IndexedValue
+// that implements the same evaluation rule, at any Workers setting.
 //
 // The importance weight exp(log φ(x) − log q(x)) is evaluated lazily on
-// the settle side, only for samples whose value is positive — exactly as
-// the staged driver does. Hoisting it into generation would be
-// bit-identical too, but it would evaluate the proposal log-density for
-// every draw instead of the positive few, and that extra work costs more
-// than the overlap hides on most workloads.
+// the settle side, only for samples whose value is positive. Hoisting it
+// into generation would be bit-identical too, but it would evaluate the
+// proposal log-density for every draw instead of the positive few, and
+// that extra work costs more than the overlap hides on most workloads.
 //
 // Overlap accounting lands in po.PipeStats when set, and always in the
 // process-wide TotalPipelineStats totals.

@@ -10,10 +10,10 @@ import (
 	"ecripse/internal/linalg"
 )
 
-// pipelinedRule implements PipelinedValue over the same evaluation rule as
-// stagedRule: Generate stages the sample's uniform (classifier-free half),
-// Score is a no-op (the rule has no frozen-state decisions). The ring spans
-// two batches, as the pipelined contract requires.
+// pipelinedRule implements PipelinedValue over ruleValue: Generate stages
+// the sample's uniform (classifier-free half), Score only marks the slot
+// (the rule has no frozen-state decisions). The ring spans two batches, as
+// the pipelined contract requires.
 type pipelinedRule struct {
 	us     []float64
 	scored []bool
@@ -97,7 +97,7 @@ func TestImportanceSampleParPipelinedWorkerInvariance(t *testing.T) {
 }
 
 // TestPipelinedCancellation checks that a cancelled pipelined run awaits
-// its in-flight generation and returns a partial series, like the staged
+// its in-flight generation and returns a partial series, like the scalar
 // driver.
 func TestPipelinedCancellation(t *testing.T) {
 	dim := 2

@@ -19,24 +19,10 @@ func uniformSigma(dim int, s float64) linalg.Vector {
 	return v
 }
 
-// stagedRule is a StagedValue implementing the same evaluation rule as the
-// IndexedValue below: consume one uniform from the sample substream, then
-// value = 1 when the draw lands inside a ball around a shifted center
-// (roughly a rare event under the proposal).
-type stagedRule struct {
-	us []float64
-}
-
-func (s *stagedRule) Prepare(rng *rand.Rand, k int, x linalg.Vector) {
-	s.us[k%len(s.us)] = rng.Float64()
-}
-
-func (s *stagedRule) Resolve(lo, hi int) {}
-
-func (s *stagedRule) Value(k int, x linalg.Vector) float64 {
-	return ruleValue(s.us[k%len(s.us)], x)
-}
-
+// ruleValue is the evaluation rule the driver equivalence tests share:
+// given one uniform u from the sample substream, value = 1 when the draw
+// lands inside a ball around a shifted center (roughly a rare event under
+// the proposal).
 func ruleValue(u float64, x linalg.Vector) float64 {
 	d := 0.0
 	for _, v := range x {
@@ -46,32 +32,6 @@ func ruleValue(u float64, x linalg.Vector) float64 {
 		return 1
 	}
 	return 0
-}
-
-// TestImportanceSampleParStagedMatchesScalar pins the staged driver to
-// ImportanceSamplePar over an equivalent IndexedValue: same series, at
-// lengths that exercise partial final batches, and at several worker
-// counts.
-func TestImportanceSampleParStagedMatchesScalar(t *testing.T) {
-	dim := 4
-	q := &GMM{Means: []linalg.Vector{linalg.NewVector(dim)}, Sigma: uniformSigma(dim, 1.5)}
-	scalar := func(rng *rand.Rand, k int, x linalg.Vector) float64 {
-		return ruleValue(rng.Float64(), x)
-	}
-	for _, n := range []int{100, 256, 700} {
-		for _, workers := range []int{1, 3} {
-			var c Counter
-			want := ImportanceSamplePar(context.Background(), q, scalar,
-				n, ParOptions{Seed: 5, Workers: workers, Batch: 128}, &c, 64)
-			sv := &stagedRule{us: make([]float64, 128)}
-			var c2 Counter
-			got := ImportanceSampleParStaged(context.Background(), q, sv,
-				n, ParOptions{Seed: 5, Workers: workers, Batch: 128}, &c2, 64)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d workers=%d: staged series diverged\nstaged %v\nscalar %v", n, workers, got, want)
-			}
-		}
-	}
 }
 
 // TestNaiveBatchedMatchesNaive pins NaiveBatched's replayed recording
@@ -109,41 +69,34 @@ func TestNaiveBatchedMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestStagedCancellation checks that a cancelled staged run returns a
-// partial series ending at the stop state, like the scalar driver.
+// TestStagedCancellation checks that a cancelled staged run (NaiveBatched)
+// stops at the next batch boundary and returns a partial series ending at
+// the stop state, like the scalar driver.
 func TestStagedCancellation(t *testing.T) {
-	dim := 2
-	q := &GMM{Means: []linalg.Vector{linalg.NewVector(dim)}, Sigma: uniformSigma(dim, 1)}
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
-	sv := &countingStaged{onPrepare: func() {
+	draw := func(rng *rand.Rand, slot int) {
+		rng.Float64()
 		n++
 		if n == 300 {
 			cancel()
 		}
-	}}
-	sv.us = make([]float64, 256)
+	}
 	var c Counter
-	series := ImportanceSampleParStaged(ctx, q, sv, 10000, ParOptions{Seed: 3, Workers: 1}, &c, 0)
+	label := func(slots int, fails []bool) {
+		c.Add(int64(slots))
+		for i := range fails[:slots] {
+			fails[i] = i%7 == 0
+		}
+	}
+	series := NaiveBatched(ctx, rand.New(rand.NewSource(3)), draw, label, 10000, 64, &c, 0)
 	if len(series) == 0 {
 		t.Fatalf("cancelled run lost its partial series")
 	}
-	if fin := series.Final(); fin.P < 0 || math.IsNaN(fin.P) {
-		t.Fatalf("bad final point %v", fin)
+	if fin := series.Final(); fin.P <= 0 || math.IsNaN(fin.P) || fin.Sims != c.Count() {
+		t.Fatalf("bad final point %v (counter %d)", fin, c.Count())
 	}
-	if n >= 10000 {
-		t.Fatalf("cancellation did not stop the run")
+	if n != 320 {
+		t.Fatalf("run drew %d trials, want 320 (the batch boundary after the cancel)", n)
 	}
 }
-
-type countingStaged struct {
-	stagedRule
-	onPrepare func()
-}
-
-func (s *countingStaged) Prepare(rng *rand.Rand, k int, x linalg.Vector) {
-	s.onPrepare()
-	s.stagedRule.Prepare(rng, k, x)
-}
-
-var _ StagedValue = (*countingStaged)(nil)

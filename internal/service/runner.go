@@ -146,13 +146,9 @@ type CostSplit struct {
 	Total      int64 `json:"total"`
 
 	// Solver effort underneath the indicator calls (root solves and
-	// Illinois iterations), and the tiered-fidelity split when the job ran
-	// with adaptive_grid: Coarse counts samples answered at the coarse
-	// tier, Escalated those that also paid for the full grid.
+	// Illinois iterations).
 	RootSolves  int64 `json:"root_solves,omitempty"`
 	SolverIters int64 `json:"solver_iters,omitempty"`
-	Coarse      int64 `json:"coarse,omitempty"`
-	Escalated   int64 `json:"escalated,omitempty"`
 
 	// Lane occupancy of the batched indicator kernel: lockstep slots
 	// issued and slots that carried a live lane (zero when the job ran on
@@ -161,7 +157,7 @@ type CostSplit struct {
 	LaneOccupied int64 `json:"lane_occupied,omitempty"`
 
 	// Barrier windows the stage-2 loop ran through the double-buffered
-	// pipelined driver (zero on the staged and scalar paths). Deterministic
+	// pipelined driver (zero for estimators other than ecripse). Deterministic
 	// — a schedule count, not a timing — so it is safe inside the
 	// content-addressed result; the pipeline's wall-clock overlap/stall
 	// telemetry stays out, on /metrics, like job wall time.
@@ -270,8 +266,7 @@ func runEstimator(ctx context.Context, s JobSpec, counter *montecarlo.Counter) (
 	case EstECRIPSE:
 		eng := core.NewEngine(cell, counter, core.Options{
 			NIS: s.N, M: s.M, Mode: mode, NoClassifier: s.NoClassifier,
-			AdaptiveGrid: s.AdaptiveGrid, Parallelism: s.Parallelism,
-			IndicatorHist: hooks.indicatorHist,
+			Parallelism: s.Parallelism, IndicatorHist: hooks.indicatorHist,
 		})
 		if s.WarmIn != "" {
 			ws, err := resolveWarm(s, hooks)
@@ -469,8 +464,6 @@ func addCost(c *CostSplit, r core.Result) {
 	c.Classified += r.Classified
 	c.RootSolves += r.RootSolves
 	c.SolverIters += r.SolverIters
-	c.Coarse += r.CoarseSims
-	c.Escalated += r.Escalated
 	c.LaneSlots += r.LaneSlots
 	c.LaneOccupied += r.LaneOccupied
 	c.PipelinedBatches += r.PipelinedBatches
