@@ -191,17 +191,16 @@ func NewRouter(cfg Config) (*Router, error) {
 
 	rt.mux.HandleFunc("POST /v1/jobs", rt.handleSubmit)
 	rt.mux.HandleFunc("POST /v1/jobs:batch", rt.handleBatch)
-	rt.mux.HandleFunc("GET /v1/jobs", rt.handleList)
-	rt.mux.HandleFunc("GET /v1/jobs/{id}", rt.handleGet)
-	rt.mux.HandleFunc("GET /v1/jobs/{id}/events", rt.handleEvents)
-	rt.mux.HandleFunc("GET /v1/jobs/{id}/trace", rt.handleTrace)
-	rt.mux.HandleFunc("DELETE /v1/jobs/{id}", rt.handleCancel)
 	rt.mux.HandleFunc("POST /v1/sweeps", rt.handleSweepSubmit)
+	rt.mux.HandleFunc("GET /v1/jobs", rt.handleList)
 	rt.mux.HandleFunc("GET /v1/sweeps", rt.handleSweepList)
-	rt.mux.HandleFunc("GET /v1/sweeps/{id}", rt.handleSweepGet)
-	rt.mux.HandleFunc("GET /v1/sweeps/{id}/events", rt.handleSweepEvents)
+	for _, c := range []collection{jobRoutes, sweepRoutes} {
+		rt.mux.HandleFunc("GET "+c.path+"/{id}", rt.forward(c, http.MethodGet, ""))
+		rt.mux.HandleFunc("DELETE "+c.path+"/{id}", rt.forward(c, http.MethodDelete, ""))
+		rt.mux.HandleFunc("GET "+c.path+"/{id}/events", rt.handleEvents(c))
+	}
+	rt.mux.HandleFunc("GET /v1/jobs/{id}/trace", rt.forward(jobRoutes, http.MethodGet, "/trace"))
 	rt.mux.HandleFunc("GET /v1/sweeps/{id}/trace", rt.handleSweepTrace)
-	rt.mux.HandleFunc("DELETE /v1/sweeps/{id}", rt.handleSweepCancel)
 	rt.mux.HandleFunc("GET /v1/cache/{key}", rt.handleCache)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealth)
@@ -243,23 +242,30 @@ func (rt *Router) recover() {
 	}
 }
 
-// shardPrefix extracts the shard name from a namespaced job ID
-// ("s1-j000001" → "s1"), or "" when the ID carries no prefix.
+// shardPrefix extracts the shard name from a namespaced job or sweep ID
+// ("s1-j000001", "s1-sw000001" → "s1"), or "" when the ID carries no prefix.
+// The later of the two separators wins, so a shard name may itself contain
+// "-j" or "-sw".
 func shardPrefix(id string) string {
-	if i := strings.LastIndex(id, "-j"); i > 0 {
+	if i := max(strings.LastIndex(id, "-j"), strings.LastIndex(id, "-sw")); i > 0 {
 		return id[:i]
 	}
 	return ""
 }
 
-// sweepShardPrefix extracts the shard name from a namespaced sweep ID
-// ("s1-sw000001" → "s1"), or "" when the ID carries no prefix.
-func sweepShardPrefix(id string) string {
-	if i := strings.LastIndex(id, "-sw"); i > 0 {
-		return id[:i]
-	}
-	return ""
+// collection is one routed resource kind. Jobs and sweeps route by the same
+// rule — the ownership table, else the ID prefix (sweeps are never in the
+// table: failover does not re-enqueue them) — and differ only in their path
+// and the not-found text of an unknown ID.
+type collection struct {
+	path     string
+	notFound error
 }
+
+var (
+	jobRoutes   = collection{"/v1/jobs", service.ErrNotFound}
+	sweepRoutes = collection{"/v1/sweeps", service.ErrSweepNotFound}
+)
 
 // Start launches the health prober. No-op when probing is disabled.
 func (rt *Router) Start() {
@@ -419,36 +425,36 @@ func (rt *Router) pickTarget(ctx context.Context, key string) (*target, bool) {
 	return rt.targets[owner], false
 }
 
-// dispatchSubmit posts one normalized spec to a target, walking the key's
-// failover order on transport errors (the window between a shard dying and
-// the prober noticing). Application-level answers — including 429 and 400 —
-// are final and relayed as-is.
-func (rt *Router) dispatchSubmit(ctx context.Context, first *target, key string, body []byte, src *http.Request) (*target, *bufferedResponse, error) {
+// dispatchSubmit runs post against first, then walks the key's failover
+// order on transport errors (the window between a shard dying and the
+// prober noticing). Application-level answers — including 429 and 400 — are
+// final and relayed as-is. post issues one attempt (the sweep path records
+// a dispatch span per attempt around it).
+func (rt *Router) dispatchSubmit(first *target, key string, post func(*target) (*bufferedResponse, error)) (*target, *bufferedResponse, error) {
 	tried := map[string]bool{}
 	try := func(t *target) (*bufferedResponse, error) {
 		tried[t.name] = true
 		rt.forwards[t.name].Add(1)
-		return t.do(ctx, http.MethodPost, "/v1/jobs", body, src)
+		resp, err := post(t)
+		if err != nil {
+			rt.proxyErrs.Add(1)
+			rt.log.Warn("dispatch failed, trying successor", "shard", t.name, "err", err)
+		}
+		return resp, err
 	}
 	if first != nil {
-		resp, err := try(first)
-		if err == nil {
+		if resp, err := try(first); err == nil {
 			return first, resp, nil
 		}
-		rt.proxyErrs.Add(1)
-		rt.log.Warn("dispatch failed, trying successor", "shard", first.name, "err", err)
 	}
 	for _, name := range rt.ring.Owners(key, len(rt.names)) {
 		t := rt.targets[name]
 		if tried[name] || !t.Alive() {
 			continue
 		}
-		resp, err := try(t)
-		if err == nil {
+		if resp, err := try(t); err == nil {
 			return t, resp, nil
 		}
-		rt.proxyErrs.Add(1)
-		rt.log.Warn("dispatch failed, trying successor", "shard", name, "err", err)
 	}
 	return nil, nil, errors.New("cluster: no shard reachable")
 }
@@ -511,20 +517,8 @@ func (rt *Router) markTerminal(j *routedJob, view *service.View) {
 }
 
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if rt.maxBody > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, rt.maxBody)
-	}
 	var spec service.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("spec exceeds the %d-byte body limit", mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode spec: "+err.Error())
+	if !service.DecodeSubmit(w, r, rt.maxBody, "spec", &spec) {
 		return
 	}
 	if err := spec.Normalize(); err != nil {
@@ -547,7 +541,9 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// and mints its job trace under the same trace ID.
 	r.Header.Set(obsv.TraceparentHeader, rt.traceContext(r).Child().Traceparent())
 	first, _ := rt.pickTarget(r.Context(), key)
-	tgt, resp, err := rt.dispatchSubmit(r.Context(), first, key, raw, r)
+	tgt, resp, err := rt.dispatchSubmit(first, key, func(t *target) (*bufferedResponse, error) {
+		return t.do(r.Context(), http.MethodPost, "/v1/jobs", raw, r)
+	})
 	if err != nil {
 		writeError(w, http.StatusBadGateway, err.Error())
 		return
@@ -562,20 +558,8 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if rt.maxBody > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, rt.maxBody)
-	}
 	var specs []service.JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&specs); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("batch exceeds the %d-byte body limit", mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode batch: "+err.Error())
+	if !service.DecodeSubmit(w, r, rt.maxBody, "batch", &specs) {
 		return
 	}
 	if len(specs) == 0 || len(specs) > rt.maxBatch {
@@ -661,66 +645,81 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, items)
 }
 
-// route resolves a client-visible job ID to its target and remote ID. Jobs
-// the router never dispatched (e.g. submitted straight to a shard) fall back
-// to their ID prefix, so a cluster fronting pre-existing shards still serves
-// their jobs.
-func (rt *Router) route(id string) (*target, string, *routedJob, error) {
+// route resolves a client-visible job or sweep ID to its target and remote
+// ID. IDs the router never dispatched (sweeps, or jobs submitted straight to
+// a shard) fall back to their ID prefix, so a cluster fronting pre-existing
+// shards still serves them. On failure it answers the request itself: 404
+// with the kind's not-found text, or 503 when the owning shard is down.
+func (rt *Router) route(w http.ResponseWriter, r *http.Request, c collection) (*target, string, *routedJob, bool) {
+	id := r.PathValue("id")
 	rt.mu.Lock()
 	j := rt.jobs[id]
-	shard, remote := "", id
+	shard, remote := shardPrefix(id), id
 	if j != nil {
 		shard, remote = j.Shard, j.RemoteID
-	} else {
-		shard = shardPrefix(id)
 	}
 	rt.mu.Unlock()
 	t, ok := rt.targets[shard]
-	if !ok {
-		return nil, "", nil, service.ErrNotFound
+	switch {
+	case !ok:
+		writeError(w, http.StatusNotFound, c.notFound.Error())
+	case !t.Alive():
+		writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("cluster: shard %s is down", shard))
+	default:
+		return t, remote, j, true
 	}
-	if !t.Alive() {
-		return nil, "", nil, fmt.Errorf("cluster: shard %s is down", shard)
-	}
-	return t, remote, j, nil
+	return nil, "", nil, false
 }
 
-// forwardJob proxies one buffered per-job request (GET, DELETE, trace),
-// rewriting the response's job ID back to the client-visible one when a
-// failover re-enqueue changed it.
-func (rt *Router) forwardJob(w http.ResponseWriter, r *http.Request, method, path string) {
-	id := r.PathValue("id")
-	t, remote, j, err := rt.route(id)
-	if err != nil {
-		status := http.StatusNotFound
-		if !errors.Is(err, service.ErrNotFound) {
-			status = http.StatusServiceUnavailable
+// forward proxies one buffered per-resource request (GET, DELETE, job
+// trace), rewriting a job view's ID back to the client-visible one when a
+// failover re-enqueue changed it and journaling terminal states it observes.
+func (rt *Router) forward(c collection, method, suffix string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t, remote, j, ok := rt.route(w, r, c)
+		if !ok {
+			return
 		}
-		writeError(w, status, err.Error())
-		return
-	}
-	rt.forwards[t.name].Add(1)
-	resp, err := t.do(r.Context(), method, strings.Replace(path, "{id}", remote, 1), nil, r)
-	if err != nil {
-		rt.proxyErrs.Add(1)
-		writeError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	if strings.HasSuffix(path, "/trace") {
-		resp.body = rewriteTraceID(resp.body, remote, id)
-	} else if resp.status < http.StatusBadRequest || resp.status == http.StatusConflict {
-		var view service.View
-		if jerr := json.Unmarshal(resp.body, &view); jerr == nil {
-			rt.markTerminal(j, &view)
-			if remote != id {
-				view.ID = id
-				if b, merr := json.Marshal(view); merr == nil {
-					resp.body = b
+		id := r.PathValue("id")
+		rt.forwards[t.name].Add(1)
+		resp, err := t.do(r.Context(), method, c.path+"/"+remote+suffix, nil, r)
+		if err != nil {
+			rt.proxyErrs.Add(1)
+			writeError(w, http.StatusBadGateway, err.Error())
+			return
+		}
+		switch {
+		case suffix == "/trace":
+			resp.body = rewriteTraceID(resp.body, remote, id)
+		case j != nil && (resp.status < http.StatusBadRequest || resp.status == http.StatusConflict):
+			var view service.View
+			if jerr := json.Unmarshal(resp.body, &view); jerr == nil {
+				rt.markTerminal(j, &view)
+				if remote != id {
+					view.ID = id
+					if b, merr := json.Marshal(view); merr == nil {
+						resp.body = b
+					}
 				}
 			}
 		}
+		relay(w, resp)
 	}
-	relay(w, resp)
+}
+
+// handleEvents proxies a job's or sweep's SSE stream from its shard.
+func (rt *Router) handleEvents(c collection) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t, remote, _, ok := rt.route(w, r, c)
+		if !ok {
+			return
+		}
+		rt.forwards[t.name].Add(1)
+		if err := t.proxy(w, r, c.path+"/"+remote+"/events"); err != nil {
+			rt.proxyErrs.Add(1)
+			writeError(w, http.StatusBadGateway, err.Error())
+		}
+	}
 }
 
 // rewriteTraceID renames the trace payload's job ID (aliased jobs only).
@@ -745,36 +744,6 @@ func rewriteTraceID(body []byte, remote, id string) []byte {
 	return b
 }
 
-func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
-	rt.forwardJob(w, r, http.MethodGet, "/v1/jobs/{id}")
-}
-
-func (rt *Router) handleCancel(w http.ResponseWriter, r *http.Request) {
-	rt.forwardJob(w, r, http.MethodDelete, "/v1/jobs/{id}")
-}
-
-func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
-	rt.forwardJob(w, r, http.MethodGet, "/v1/jobs/{id}/trace")
-}
-
-func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	t, remote, _, err := rt.route(id)
-	if err != nil {
-		status := http.StatusNotFound
-		if !errors.Is(err, service.ErrNotFound) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err.Error())
-		return
-	}
-	rt.forwards[t.name].Add(1)
-	if err := t.proxy(w, r, "/v1/jobs/"+remote+"/events"); err != nil {
-		rt.proxyErrs.Add(1)
-		writeError(w, http.StatusBadGateway, err.Error())
-	}
-}
-
 // handleSweepSubmit validates the sweep grid at the edge (junk grids never
 // cross the wire), charges the tenant one unit per grid point, and
 // dispatches the whole sweep to the ring owner of its content key, walking
@@ -786,20 +755,8 @@ func (rt *Router) handleEvents(w http.ResponseWriter, r *http.Request) {
 // the durable state is the per-point cache, and resubmitting the same spec
 // (which hashes to a live owner) resumes from the completed points.
 func (rt *Router) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	if rt.maxBody > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, rt.maxBody)
-	}
 	var spec service.SweepSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("spec exceeds the %d-byte body limit", mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode sweep spec: "+err.Error())
+	if !service.DecodeSubmit(w, r, rt.maxBody, "sweep spec", &spec) {
 		return
 	}
 	if err := spec.Normalize(); err != nil {
@@ -824,11 +781,11 @@ func (rt *Router) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	tc := rt.traceContext(r)
 	routeStart := time.Now()
 	var tries []dispatchTry
-
-	tried := map[string]bool{}
-	try := func(t *target) (*bufferedResponse, error) {
-		tried[t.name] = true
-		rt.forwards[t.name].Add(1)
+	var first *target
+	if owner, ok := rt.ring.Owner(key); ok && rt.targets[owner].Alive() {
+		first = rt.targets[owner]
+	}
+	_, resp, err := rt.dispatchSubmit(first, key, func(t *target) (*bufferedResponse, error) {
 		child := tc.Child()
 		r.Header.Set(obsv.TraceparentHeader, child.Traceparent())
 		d := dispatchTry{shard: t.name, spanID: child.SpanID, start: time.Now()}
@@ -841,41 +798,18 @@ func (rt *Router) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		tries = append(tries, d)
 		return resp, err
+	})
+	if err != nil {
+		writeError(w, http.StatusBadGateway, err.Error())
+		return
 	}
-	accept := func(resp *bufferedResponse) {
-		if resp.status == http.StatusAccepted || resp.status == http.StatusOK {
-			var view service.SweepView
-			if json.Unmarshal(resp.body, &view) == nil && view.ID != "" {
-				rt.recordSweepTrace(view.ID, tc.TraceID, routeStart, tries)
-			}
-		}
-		relay(w, resp)
-	}
-	if owner, ok := rt.ring.Owner(key); ok {
-		if t := rt.targets[owner]; t.Alive() {
-			if resp, err := try(t); err == nil {
-				accept(resp)
-				return
-			} else {
-				rt.proxyErrs.Add(1)
-				rt.log.Warn("sweep dispatch failed, trying successor", "shard", owner, "err", err)
-			}
+	if resp.status == http.StatusAccepted || resp.status == http.StatusOK {
+		var view service.SweepView
+		if json.Unmarshal(resp.body, &view) == nil && view.ID != "" {
+			rt.recordSweepTrace(view.ID, tc.TraceID, routeStart, tries)
 		}
 	}
-	for _, name := range rt.ring.Owners(key, len(rt.names)) {
-		t := rt.targets[name]
-		if tried[name] || !t.Alive() {
-			continue
-		}
-		if resp, err := try(t); err == nil {
-			accept(resp)
-			return
-		} else {
-			rt.proxyErrs.Add(1)
-			rt.log.Warn("sweep dispatch failed, trying successor", "shard", name, "err", err)
-		}
-	}
-	writeError(w, http.StatusBadGateway, "cluster: no shard reachable")
+	relay(w, resp)
 }
 
 // traceContext returns the request's propagated trace context, or mints a
@@ -945,13 +879,8 @@ func (rt *Router) recordSweepTrace(id, traceID string, start time.Time, tries []
 // the successful dispatch span, all sharing one trace ID.
 func (rt *Router) handleSweepTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	t, err := rt.routeSweep(id)
-	if err != nil {
-		status := http.StatusNotFound
-		if !errors.Is(err, service.ErrSweepNotFound) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err.Error())
+	t, _, _, ok := rt.route(w, r, sweepRoutes)
+	if !ok {
 		return
 	}
 	rt.forwards[t.name].Add(1)
@@ -998,102 +927,10 @@ func (rt *Router) handleSweepTrace(w http.ResponseWriter, r *http.Request) {
 	}{ID: id, State: remote.State, TraceID: st.traceID, Spans: out})
 }
 
-// routeSweep resolves a sweep ID to its shard purely by ID prefix: sweep
-// IDs are minted by the accepting shard ("s1-sw000001"), so no ownership
-// table is needed and failover never aliases them.
-func (rt *Router) routeSweep(id string) (*target, error) {
-	t, ok := rt.targets[sweepShardPrefix(id)]
-	if !ok {
-		return nil, service.ErrSweepNotFound
-	}
-	if !t.Alive() {
-		return nil, fmt.Errorf("cluster: shard %s is down", t.name)
-	}
-	return t, nil
-}
-
-// forwardSweep proxies one buffered per-sweep request (GET, DELETE).
-func (rt *Router) forwardSweep(w http.ResponseWriter, r *http.Request, method string) {
-	id := r.PathValue("id")
-	t, err := rt.routeSweep(id)
-	if err != nil {
-		status := http.StatusNotFound
-		if !errors.Is(err, service.ErrSweepNotFound) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err.Error())
-		return
-	}
-	rt.forwards[t.name].Add(1)
-	resp, err := t.do(r.Context(), method, "/v1/sweeps/"+id, nil, r)
-	if err != nil {
-		rt.proxyErrs.Add(1)
-		writeError(w, http.StatusBadGateway, err.Error())
-		return
-	}
-	relay(w, resp)
-}
-
-func (rt *Router) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	rt.forwardSweep(w, r, http.MethodGet)
-}
-
-func (rt *Router) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	rt.forwardSweep(w, r, http.MethodDelete)
-}
-
-func (rt *Router) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	t, err := rt.routeSweep(id)
-	if err != nil {
-		status := http.StatusNotFound
-		if !errors.Is(err, service.ErrSweepNotFound) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, err.Error())
-		return
-	}
-	rt.forwards[t.name].Add(1)
-	if err := t.proxy(w, r, "/v1/sweeps/"+id+"/events"); err != nil {
-		rt.proxyErrs.Add(1)
-		writeError(w, http.StatusBadGateway, err.Error())
-	}
-}
-
 // handleSweepList merges the sweep lists of every alive shard. Sweep IDs
 // never alias (no failover re-enqueue), so the merge is a plain union.
 func (rt *Router) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	alive := rt.aliveTargets()
-	lists := make([][]service.SweepView, len(alive))
-	var wg sync.WaitGroup
-	for i, t := range alive {
-		wg.Add(1)
-		go func(i int, t *target) {
-			defer wg.Done()
-			resp, err := t.do(r.Context(), http.MethodGet, "/v1/sweeps", nil, r)
-			if err != nil || resp.status != http.StatusOK {
-				rt.proxyErrs.Add(1)
-				return
-			}
-			var views []service.SweepView
-			if json.Unmarshal(resp.body, &views) == nil {
-				lists[i] = views
-			}
-		}(i, t)
-	}
-	wg.Wait()
-
-	merged := make([]service.SweepView, 0, 16)
-	for i := range alive {
-		merged = append(merged, lists[i]...)
-	}
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].CreatedAt != merged[b].CreatedAt {
-			return merged[a].CreatedAt < merged[b].CreatedAt
-		}
-		return merged[a].ID < merged[b].ID
-	})
-	writeJSON(w, http.StatusOK, merged)
+	mergeLists(rt, w, r, "/v1/sweeps", nil, func(v *service.SweepView) (*string, string) { return &v.ID, v.CreatedAt })
 }
 
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
@@ -1112,19 +949,28 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.Unlock()
 
+	mergeLists(rt, w, r, "/v1/jobs", alias, func(v *service.View) (*string, string) { return &v.ID, v.CreatedAt })
+}
+
+// mergeLists fans GET path out to every alive shard and answers with the
+// union of their views, oldest first (ties broken by ID). alias maps a
+// shard's remote IDs to client-visible ones (jobs moved by failover); fields
+// exposes a view's ID and creation stamp.
+func mergeLists[V any](rt *Router, w http.ResponseWriter, r *http.Request, path string,
+	alias map[string]map[string]string, fields func(*V) (id *string, created string)) {
 	alive := rt.aliveTargets()
-	lists := make([][]service.View, len(alive))
+	lists := make([][]V, len(alive))
 	var wg sync.WaitGroup
 	for i, t := range alive {
 		wg.Add(1)
 		go func(i int, t *target) {
 			defer wg.Done()
-			resp, err := t.do(r.Context(), http.MethodGet, "/v1/jobs", nil, r)
+			resp, err := t.do(r.Context(), http.MethodGet, path, nil, r)
 			if err != nil || resp.status != http.StatusOK {
 				rt.proxyErrs.Add(1)
 				return
 			}
-			var views []service.View
+			var views []V
 			if json.Unmarshal(resp.body, &views) == nil {
 				lists[i] = views
 			}
@@ -1132,20 +978,23 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 
-	merged := make([]service.View, 0, 64)
+	merged := make([]V, 0, 64)
 	for i, t := range alive {
 		for _, v := range lists[i] {
-			if clientID, ok := alias[t.name][v.ID]; ok {
-				v.ID = clientID
+			id, _ := fields(&v)
+			if clientID, ok := alias[t.name][*id]; ok {
+				*id = clientID
 			}
 			merged = append(merged, v)
 		}
 	}
 	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].CreatedAt != merged[b].CreatedAt {
-			return merged[a].CreatedAt < merged[b].CreatedAt
+		ida, ca := fields(&merged[a])
+		idb, cb := fields(&merged[b])
+		if ca != cb {
+			return ca < cb
 		}
-		return merged[a].ID < merged[b].ID
+		return *ida < *idb
 	})
 	writeJSON(w, http.StatusOK, merged)
 }

@@ -471,14 +471,20 @@ func TestRouterAuthRateAndQuota(t *testing.T) {
 
 func TestRouterBodyLimit(t *testing.T) {
 	_, front, _ := newCluster(t, 2, Config{MaxBodyBytes: 512})
-	huge := []byte(`{"estimator":"` + strings.Repeat("x", 2048) + `"}`)
-	resp, err := http.Post(front.URL+"/v1/jobs", "application/json", bytes.NewReader(huge))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized submit: status %d, want 413", resp.StatusCode)
+	huge := `{"estimator":"` + strings.Repeat("x", 2048) + `"}`
+	for path, body := range map[string]string{
+		"/v1/jobs":       huge,
+		"/v1/jobs:batch": "[" + huge + "]",
+		"/v1/sweeps":     `{"base":` + huge + `}`,
+	} {
+		resp, err := http.Post(front.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s oversized: status %d, want 413", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -748,7 +754,7 @@ func TestClusterSweepTracePropagation(t *testing.T) {
 		TraceID string `json:"trace_id"`
 	}
 	owner := n1.fix
-	if sweepShardPrefix(sv.ID) == n2.fix.name {
+	if shardPrefix(sv.ID) == n2.fix.name {
 		owner = n2.fix
 	}
 	if st := getJSON(t, owner.srv.URL+"/v1/sweeps/"+sv.ID+"/trace", "", &direct); st != http.StatusOK {
@@ -826,5 +832,151 @@ func TestRouterHealthRollup(t *testing.T) {
 	want := `ecripsed_health_violations_total{shard="` + shardPrefix(view.ID) + `",rule="` + obsv.RuleESSCollapse + `"}`
 	if !strings.Contains(text, want) {
 		t.Errorf("roll-up missing the shard-labeled watchdog counter %q in:\n%s", want, text)
+	}
+}
+
+// TestRouterSweepReadPaths drives every per-sweep read path through the
+// router: the merged list, GET, DELETE (202 while running, 409 once
+// terminal), the proxied event stream, and the error answers for an unknown
+// sweep ID (404) and for a sweep whose owning shard is marked down (503).
+func TestRouterSweepReadPaths(t *testing.T) {
+	// Points of seed-9 sweeps block until canceled; everything else is instant.
+	run := func(ctx context.Context, spec service.JobSpec, c *montecarlo.Counter) (*service.RunResult, error) {
+		if spec.Seed == 9 {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		c.Add(100)
+		return &service.RunResult{}, nil
+	}
+	cfg := Config{ProbeInterval: -1}
+	for _, name := range []string{"s1", "s2"} {
+		sh := newShard(t, name, run)
+		cfg.Shards = append(cfg.Shards, Shard{Name: name, URL: sh.srv.URL})
+	}
+	rt, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+
+	submit := func(spec service.SweepSpec) service.SweepView {
+		t.Helper()
+		var sv service.SweepView
+		if st, _ := postJSON(t, front.URL+"/v1/sweeps", "", spec, &sv); st != http.StatusAccepted {
+			t.Fatalf("sweep submit: status %d", st)
+		}
+		return sv
+	}
+	waitSweep := func(id string) service.SweepView {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			var v service.SweepView
+			if st := getJSON(t, front.URL+"/v1/sweeps/"+id, "", &v); st != http.StatusOK {
+				t.Fatalf("GET sweep %s: status %d", id, st)
+			}
+			if v.ID != id {
+				t.Fatalf("GET sweep %s answered for %q", id, v.ID)
+			}
+			if v.State.Terminal() {
+				return v
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("sweep %s not terminal within 10s (state %q)", id, v.State)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	del := func(id string) (int, service.SweepView) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, front.URL+"/v1/sweeps/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("DELETE sweep %s: %v", id, err)
+		}
+		defer resp.Body.Close()
+		var v service.SweepView
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatalf("decode DELETE %s response: %v", id, err)
+		}
+		return resp.StatusCode, v
+	}
+
+	fast := submit(sweepSpecFixture())
+	if v := waitSweep(fast.ID); v.State != service.StateDone || v.PointsDone != 3 {
+		t.Fatalf("fast sweep ended %q with %d/3 points", v.State, v.PointsDone)
+	}
+	slowSpec := sweepSpecFixture()
+	slowSpec.Base.Seed = 9
+	slow := submit(slowSpec)
+
+	// The merged list carries both sweeps, oldest first.
+	var list []service.SweepView
+	if st := getJSON(t, front.URL+"/v1/sweeps", "", &list); st != http.StatusOK {
+		t.Fatalf("GET /v1/sweeps: status %d", st)
+	}
+	if len(list) != 2 || list[0].ID != fast.ID || list[1].ID != slow.ID {
+		t.Fatalf("merged sweep list = %+v, want [%s %s]", list, fast.ID, slow.ID)
+	}
+
+	// The event stream of a finished sweep reaches its final done event.
+	resp, err := http.Get(front.URL + "/v1/sweeps/" + fast.ID + "/events")
+	if err != nil {
+		t.Fatalf("GET sweep events: %v", err)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/event-stream") {
+		t.Fatalf("sweep events Content-Type = %q", ct)
+	}
+	sawDone := false
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if sc.Text() == "event: done" {
+			sawDone = true
+		}
+	}
+	resp.Body.Close()
+	if !sawDone {
+		t.Error("sweep SSE stream never delivered the final done event")
+	}
+
+	// DELETE cancels a running sweep once; the repeat is a conflict.
+	if st, v := del(slow.ID); st != http.StatusAccepted || v.ID != slow.ID {
+		t.Fatalf("DELETE running sweep: status %d id %q, want 202 %s", st, v.ID, slow.ID)
+	}
+	if v := waitSweep(slow.ID); v.State != service.StateCanceled {
+		t.Fatalf("canceled sweep ended %q", v.State)
+	}
+	if st, v := del(slow.ID); st != http.StatusConflict || v.State != service.StateCanceled {
+		t.Fatalf("DELETE terminal sweep: status %d state %q, want 409 canceled", st, v.State)
+	}
+
+	// Unknown sweep IDs answer 404, whether or not the prefix names a shard.
+	for _, id := range []string{"s1-sw999999", "nosuchshard-sw000001", "sw000001"} {
+		for _, path := range []string{"/v1/sweeps/" + id, "/v1/sweeps/" + id + "/events"} {
+			var e map[string]string
+			resp, err := http.Get(front.URL + path)
+			if err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+			_ = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound || !strings.Contains(e["error"], "no such sweep") {
+				t.Errorf("GET %s: status %d body %v, want 404 no such sweep", path, resp.StatusCode, e)
+			}
+		}
+	}
+
+	// With the owning shard marked down, its sweeps answer 503.
+	owner, _, _ := strings.Cut(fast.ID, "-")
+	for i := 0; i < 3; i++ {
+		rt.targets[owner].markProbe(false, 3)
+	}
+	for _, path := range []string{"/v1/sweeps/" + fast.ID, "/v1/sweeps/" + fast.ID + "/events"} {
+		if st := getJSON(t, front.URL+path, "", nil); st != http.StatusServiceUnavailable {
+			t.Errorf("GET %s with its shard down: status %d, want 503", path, st)
+		}
 	}
 }

@@ -143,11 +143,11 @@ func TestServerBodyLimit(t *testing.T) {
 	defer srv.Close()
 
 	huge := `{"estimator":"` + strings.Repeat("x", 1024) + `"}`
-	for _, path := range []string{"/v1/jobs", "/v1/jobs:batch"} {
-		body := huge
-		if path == "/v1/jobs:batch" {
-			body = "[" + huge + "]"
-		}
+	for path, body := range map[string]string{
+		"/v1/jobs":       huge,
+		"/v1/jobs:batch": "[" + huge + "]",
+		"/v1/sweeps":     `{"base":` + huge + `}`,
+	} {
 		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("POST %s: %v", path, err)

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
-	"sync"
 	"time"
 
 	"ecripse/internal/montecarlo"
@@ -28,112 +26,37 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateCanceled || s == StateFailed
 }
 
-// Job is one submitted yield-estimation job. All mutable fields are guarded
-// by mu; the simulation counter is read lock-free (it is atomic) so
-// progress can be observed while the job runs.
+// Job is one submitted yield-estimation job: the shared lifecycle plus the
+// spec, a simulation counter read lock-free (it is atomic, so progress can
+// be observed while the job runs) and the result. Mutable fields are
+// guarded by the lifecycle's mu.
 type Job struct {
-	ID   string
+	lifecycle
 	Spec JobSpec
-	Key  string // content address of the spec (cache key)
-	// Tenant names the authenticated API client that submitted the job
-	// ("" with auth off). Set before the job is tracked, then read-only —
-	// and deliberately not part of the spec, so multi-tenant traffic still
-	// shares one content-addressed cache entry per distinct spec.
-	Tenant string
 
 	counter *montecarlo.Counter
-	ctx     context.Context
-	cancel  context.CancelFunc
-	done    chan struct{} // closed on entering a terminal state
-
-	// trace records the job's span timeline (service phases plus engine
-	// phases); events buffers convergence diagnostics for SSE consumers.
-	// rawTrace holds the persisted timeline of a recovered job instead.
-	trace    *obsv.Trace
-	events   *eventRing
+	// rawTrace holds the persisted timeline of a recovered job instead of
+	// the live trace (set at restore, then read-only).
 	rawTrace json.RawMessage
 
-	// onState observes every committed lifecycle transition (the service
-	// points it at the persistent store). It is invoked outside the job
-	// lock, by the goroutine that performed the transition; the state
-	// machine admits no concurrent transitions, so calls are sequential
-	// per job.
-	onState func(j *Job, state State, errMsg string, at time.Time)
-
-	mu       sync.Mutex
-	state    State
-	cached   bool
-	errMsg   string
-	result   json.RawMessage
-	created  time.Time
-	started  time.Time
-	finished time.Time
+	cached bool
+	result json.RawMessage
 }
 
-// newJob creates a queued job whose run context descends from parent. Every
-// job's trace is minted with a fresh distributed trace ID; SubmitTraced
-// overwrites it with a propagated one.
-func newJob(parent context.Context, id string, spec JobSpec, key string, eventCap int) *Job {
-	ctx, cancel := context.WithCancel(parent)
-	tr := obsv.NewTrace()
-	tr.SetID(obsv.NewTraceID())
-	return &Job{
-		ID:      id,
-		Spec:    spec,
-		Key:     key,
-		counter: &montecarlo.Counter{},
-		ctx:     ctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		trace:   tr,
-		events:  newEventRing(eventCap),
-		state:   StateQueued,
-		created: time.Now(),
-	}
-}
-
-// restoreJob rebuilds a terminal job from the persistent store: its context
-// is already released, its done channel closed, and no transition callback
-// fires (the store knows this state — it supplied it).
-func restoreJob(r RecoveredJob, spec JobSpec, result json.RawMessage) *Job {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	j := &Job{
-		ID:       r.ID,
-		Spec:     spec,
-		Key:      r.Key,
-		Tenant:   r.Tenant,
-		counter:  &montecarlo.Counter{},
-		ctx:      ctx,
-		cancel:   cancel,
-		done:     make(chan struct{}),
-		trace:    obsv.NewTrace(),
-		events:   newEventRing(0),
-		rawTrace: r.Trace,
-		state:    r.State,
-		cached:   r.Cached,
-		errMsg:   r.Error,
-		result:   result,
-		created:  r.Created,
-		started:  r.Started,
-		finished: r.Finished,
-	}
-	close(j.done)
+// newJob creates a queued job wired to the service: transitions are
+// persisted and the trace joins tc (see lifecycle.start).
+func (s *Service) newJob(id string, spec JobSpec, key, tenant string, tc obsv.TraceContext) *Job {
+	j := &Job{Spec: spec, counter: &montecarlo.Counter{}}
+	j.start(s, id, key, tenant, tc)
+	j.onState = func(state State, errMsg string, at time.Time) { s.onJobState(j, state, errMsg, at) }
 	return j
 }
 
-// notify invokes the transition observer, if any.
-func (j *Job) notify(state State, errMsg string, at time.Time) {
-	if j.onState != nil {
-		j.onState(j, state, errMsg, at)
-	}
-}
-
-// State returns the current lifecycle state.
-func (j *Job) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
+// restoreJob rebuilds a terminal job from the persistent store.
+func restoreJob(r RecoveredJob, spec JobSpec, result json.RawMessage) *Job {
+	j := &Job{Spec: spec, counter: &montecarlo.Counter{}, rawTrace: r.Trace, cached: r.Cached, result: result}
+	j.restore(r.ID, r.Key, r.Tenant, r.State, r.Error, r.Created, r.Started, r.Finished)
+	return j
 }
 
 // Sims returns the transistor-level simulations consumed so far.
@@ -145,9 +68,6 @@ func (j *Job) IsCached() bool {
 	defer j.mu.Unlock()
 	return j.cached
 }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Result returns the marshaled result payload (nil while unfinished).
 func (j *Job) Result() json.RawMessage {
@@ -162,92 +82,30 @@ func (j *Job) Result() json.RawMessage {
 // its simulation counter has stopped advancing. Cancel reports whether the
 // request had any effect (false once terminal).
 func (j *Job) Cancel() bool {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return false
-	}
-	if j.state == StateQueued {
-		j.state = StateCanceled
-		j.errMsg = "canceled while queued"
-		j.finished = time.Now()
-		at := j.finished
-		j.mu.Unlock()
-		j.cancel()
-		close(j.done)
-		j.notify(StateCanceled, "canceled while queued", at)
-		return true
-	}
-	j.mu.Unlock()
-	j.cancel()
-	return true
-}
-
-// markRunning transitions queued → running; it reports false when the job
-// was already cancelled (the worker then skips it).
-func (j *Job) markRunning() bool {
-	j.mu.Lock()
-	if j.state != StateQueued {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = StateRunning
-	j.started = time.Now()
-	at := j.started
-	j.mu.Unlock()
-	j.notify(StateRunning, "", at)
-	return true
+	return j.end(StateCanceled, "canceled while queued", StateQueued, nil) || j.requestCancel()
 }
 
 // finish moves the job to a terminal state with an optional result payload.
-// Later calls are no-ops, so a worker completing a job races safely with
-// concurrent Cancel calls.
 func (j *Job) finish(state State, result json.RawMessage, errMsg string) {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.state = state
-	j.result = result
-	j.errMsg = errMsg
-	j.finished = time.Now()
-	at := j.finished
-	j.mu.Unlock()
-	j.cancel() // release the context regardless of how the job ended
-	close(j.done)
-	j.notify(state, errMsg, at)
+	j.end(state, errMsg, "", func() { j.result = result })
 }
 
 // finishCached marks a freshly created job as answered from the cache.
 func (j *Job) finishCached(result json.RawMessage) {
-	j.mu.Lock()
-	j.cached = true
-	j.mu.Unlock()
-	j.finish(StateDone, result, "")
+	j.end(StateDone, "", "", func() { j.cached, j.result = true, result })
 }
 
 // publish buffers one diagnostic event for SSE consumers. Safe to call from
 // the worker at engine barriers; never blocks.
 func (j *Job) publish(kind string, data any) { j.events.publish(kind, data) }
 
-// DiagSince drains diagnostic events at or after cursor. dropped counts
-// events the cursor missed because the ring evicted them (slow consumer);
-// next is the cursor for the following call.
-func (j *Job) DiagSince(cursor uint64) (events []DiagEvent, dropped uint64, next uint64) {
-	return j.events.since(cursor)
-}
-
 // TracePayload renders the job's span timeline as JSON — an object carrying
 // the distributed trace ID plus the spans ({"trace_id": ..., "spans": [...]})
 // — using the live trace for jobs run by this process, or the persisted
 // timeline of a recovered job. Nil when neither exists yet.
 func (j *Job) TracePayload() json.RawMessage {
-	j.mu.Lock()
-	raw := j.rawTrace
-	j.mu.Unlock()
-	if raw != nil {
-		return raw
+	if j.rawTrace != nil {
+		return j.rawTrace
 	}
 	if j.trace.Len() == 0 {
 		return nil
@@ -273,13 +131,9 @@ func (j *Job) timestamps() (created, started time.Time) {
 // addQueueWaitSpan synthesizes the queue-wait span from the job's own
 // timestamps, once the transition to running has stamped them.
 func (j *Job) addQueueWaitSpan() {
-	j.mu.Lock()
-	created, started := j.created, j.started
-	j.mu.Unlock()
-	if started.IsZero() {
-		return
+	if created, started := j.timestamps(); !started.IsZero() {
+		j.trace.Add("queue.wait", -1, created, started)
 	}
-	j.trace.Add("queue.wait", -1, created, started)
 }
 
 // View is the JSON representation of a job served by the API.
@@ -303,23 +157,44 @@ func (j *Job) Snapshot(withResult bool) View {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := View{
-		ID:        j.ID,
-		State:     j.state,
-		Cached:    j.cached,
-		Tenant:    j.Tenant,
-		Error:     j.errMsg,
-		Sims:      j.counter.Count(),
-		CreatedAt: j.created.UTC().Format(time.RFC3339Nano),
-		Spec:      j.Spec,
+		ID:     j.ID,
+		State:  j.state,
+		Cached: j.cached,
+		Tenant: j.Tenant,
+		Error:  j.errMsg,
+		Sims:   j.counter.Count(),
+		Spec:   j.Spec,
 	}
-	if !j.started.IsZero() {
-		v.StartedAt = j.started.UTC().Format(time.RFC3339Nano)
-	}
-	if !j.finished.IsZero() {
-		v.FinishedAt = j.finished.UTC().Format(time.RFC3339Nano)
-	}
+	v.CreatedAt, v.StartedAt, v.FinishedAt = j.stamps()
 	if withResult {
 		v.Result = j.result
 	}
 	return v
+}
+
+func (j *Job) view(detail bool) any { return j.Snapshot(detail) }
+
+// jobProgress is the periodic SSE progress payload of a job.
+type jobProgress struct {
+	ID    string `json:"id"`
+	State State  `json:"state"`
+	Sims  int64  `json:"sims"`
+}
+
+func (j *Job) progress() any { return jobProgress{ID: j.ID, State: j.State(), Sims: j.Sims()} }
+
+// eventName streams convergence diagnostics as "diag"; statistical-health
+// verdicts get their own "health" event so dashboards can subscribe to
+// violations without parsing every diagnostic.
+func (j *Job) eventName(kind string) string {
+	if kind == "health" {
+		return "health"
+	}
+	return "diag"
+}
+
+// traceView renders the job's span timeline for the trace endpoint.
+func (j *Job) traceView() (string, []obsv.SpanView) {
+	tp, _ := decodeTrace(j.TracePayload())
+	return tp.TraceID, tp.Spans
 }

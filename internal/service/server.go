@@ -81,17 +81,9 @@ func NewServer(svc *Service) *Server {
 	s := &Server{svc: svc, mux: http.NewServeMux(), EventInterval: 250 * time.Millisecond}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("POST /v1/jobs:batch", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
-	s.mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepGet)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.handleSweepEvents)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/trace", s.handleSweepTrace)
-	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleSweepCancel)
+	serveResources(s, "/v1/jobs", svc.jobs, svc.Cancel, (*Job).traceView)
+	serveResources(s, "/v1/sweeps", svc.sweeps, svc.CancelSweep, svc.AssembleSweepTrace)
 	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheLookup)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -118,18 +110,40 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// limitBody applies the configured request-body cap.
-func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) {
+// decode reads a submit body under the configured cap (see DecodeSubmit).
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	limit := s.MaxBodyBytes
 	if limit == 0 {
 		limit = DefaultMaxBodyBytes
 	}
+	return DecodeSubmit(w, r, limit, what, v)
+}
+
+// DecodeSubmit decodes a submit body into v, rejecting unknown fields and
+// capping the body at limit bytes (no cap when limit <= 0). On failure it
+// answers the request itself — 413 over the cap, 400 for anything else,
+// naming what was being decoded — and reports false.
+func DecodeSubmit(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
 	if limit > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, limit)
 	}
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var mbe *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &mbe):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("%s exceeds the %d-byte body limit", what, mbe.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, "decode "+what+": "+err.Error())
+	}
+	return false
 }
 
-// submitErrStatus maps a decode or Submit error onto its response, setting
+// submitErrStatus maps a Submit or admission error onto its response, setting
 // Retry-After on the back-pressure statuses (full queue, rate limit, quota)
 // so sweep drivers back off instead of hot-looping.
 func submitErrStatus(w http.ResponseWriter, err error) int {
@@ -139,7 +153,6 @@ func submitErrStatus(w http.ResponseWriter, err error) int {
 		}
 	}
 	var rle *RateLimitError
-	var mbe *http.MaxBytesError
 	switch {
 	case errors.As(err, &rle):
 		setRetry(strconv.Itoa(int(rle.RetryAfter.Seconds())))
@@ -149,8 +162,6 @@ func submitErrStatus(w http.ResponseWriter, err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
-	case errors.As(err, &mbe):
-		return http.StatusRequestEntityTooLarge
 	default:
 		return http.StatusBadRequest
 	}
@@ -169,18 +180,8 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s.limitBody(w, r)
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("spec exceeds the %d-byte body limit", mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode spec: "+err.Error())
+	if !s.decode(w, r, "spec", &spec) {
 		return
 	}
 	tenant := TenantFrom(r.Context())
@@ -217,18 +218,8 @@ type BatchItem struct {
 // 429 + Retry-After. Per-spec failures (bad spec, full queue) surface in
 // the per-item status without failing the rest.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.limitBody(w, r)
 	var specs []JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&specs); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("batch exceeds the %d-byte body limit", mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode batch: "+err.Error())
+	if !s.decode(w, r, "batch", &specs) {
 		return
 	}
 	maxJobs := s.MaxBatchJobs
@@ -270,18 +261,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // one token per grid point up front. Oversized grids (ErrTooManyPoints) and
 // any other spec defect answer 400.
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	s.limitBody(w, r)
 	var spec SweepSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("sweep spec exceeds the %d-byte body limit", mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decode sweep spec: "+err.Error())
+	if !s.decode(w, r, "sweep spec", &spec) {
 		return
 	}
 	// Normalize before charging so the token count reflects the real grid
@@ -307,118 +288,6 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, sw.Snapshot(false))
 }
 
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	sweeps := s.svc.Sweeps()
-	views := make([]SweepView, 0, len(sweeps))
-	for _, sw := range sweeps {
-		views = append(views, sw.Snapshot(false))
-	}
-	writeJSON(w, http.StatusOK, views)
-}
-
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	sw, err := s.svc.GetSweep(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, sw.Snapshot(true))
-}
-
-func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	sw, changed, err := s.svc.CancelSweep(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	if !changed {
-		writeJSON(w, http.StatusConflict, sw.Snapshot(false))
-		return
-	}
-	writeJSON(w, http.StatusAccepted, sw.Snapshot(false))
-}
-
-// handleSweepEvents streams sweep progress as SSE: buffered "point" events
-// as each grid point changes state, periodic "progress" summaries, and a
-// final "done" with the full sweep view (aggregate included).
-func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	sw, err := s.svc.GetSweep(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	emit := func(event string, v any) {
-		b, _ := json.Marshal(v)
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
-		flusher.Flush()
-	}
-	type progress struct {
-		ID         string `json:"id"`
-		State      State  `json:"state"`
-		NumPoints  int    `json:"num_points"`
-		PointsDone int    `json:"points_done"`
-	}
-	var cursor uint64
-	drain := func() {
-		events, dropped, next := sw.DiagSince(cursor)
-		cursor = next
-		if dropped > 0 {
-			emit("dropped", map[string]uint64{"missed": dropped})
-		}
-		for _, ev := range events {
-			// Dispatch by ring kind: per-point progress streams as "point",
-			// the terminal transition as "sweep" (always ahead of "done").
-			emit(ev.Kind, ev)
-		}
-	}
-	ticker := time.NewTicker(s.EventInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-sw.Done():
-			drain()
-			emit("done", sw.Snapshot(true))
-			return
-		case <-ticker.C:
-			drain()
-			emit("progress", progress{ID: sw.ID, State: sw.State(),
-				NumPoints: len(sw.points), PointsDone: sw.PointsDone()})
-		}
-	}
-}
-
-// handleSweepTrace serves the sweep's reassembled distributed trace: the
-// controller's spans with every point job's timeline grafted under its
-// point span, all sharing one trace ID.
-func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request) {
-	sw, err := s.svc.GetSweep(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	traceID, spans := s.svc.AssembleSweepTrace(sw)
-	if spans == nil {
-		spans = []obsv.SpanView{}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		ID      string          `json:"id"`
-		State   State           `json:"state"`
-		TraceID string          `json:"trace_id,omitempty"`
-		Spans   []obsv.SpanView `json:"spans"`
-	}{ID: sw.ID, State: sw.State(), TraceID: traceID, Spans: spans})
-}
-
 // handleCacheLookup answers a peer shard's read-through probe: the raw
 // result payload for a content key, or 404. Keys are sha-256 content
 // addresses — knowing one means knowing the full spec, so the endpoint
@@ -434,48 +303,73 @@ func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(payload)
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.svc.Jobs()
-	views := make([]View, 0, len(jobs))
-	for _, j := range jobs {
-		views = append(views, j.Snapshot(false))
+// serveResources registers one collection's read, cancel, event-stream and
+// trace routes under path. Jobs and sweeps share them: unknown IDs answer
+// 404 with the kind's not-found text, DELETE answers 202 with the view (409
+// with the terminal view when there was nothing left to cancel), and the
+// trace endpoint answers {id, state, trace_id, spans}.
+func serveResources[T resource](s *Server, path string, reg *registry[T],
+	cancel func(id string) (T, bool, error), trace func(T) (string, []obsv.SpanView)) {
+	lookup := func(w http.ResponseWriter, r *http.Request) (T, bool) {
+		v, err := reg.get(r.PathValue("id"))
+		if err != nil {
+			writeError(w, http.StatusNotFound, err.Error())
+		}
+		return v, err == nil
 	}
-	writeJSON(w, http.StatusOK, views)
+	s.mux.HandleFunc("GET "+path, func(w http.ResponseWriter, r *http.Request) {
+		all := reg.list()
+		views := make([]any, len(all))
+		for i, v := range all {
+			views[i] = v.view(false)
+		}
+		writeJSON(w, http.StatusOK, views)
+	})
+	s.mux.HandleFunc("GET "+path+"/{id}", func(w http.ResponseWriter, r *http.Request) {
+		if v, ok := lookup(w, r); ok {
+			writeJSON(w, http.StatusOK, v.view(true))
+		}
+	})
+	s.mux.HandleFunc("DELETE "+path+"/{id}", func(w http.ResponseWriter, r *http.Request) {
+		v, changed, err := cancel(r.PathValue("id"))
+		switch {
+		case err != nil:
+			writeError(w, http.StatusNotFound, err.Error())
+		case changed:
+			writeJSON(w, http.StatusAccepted, v.view(false))
+		default:
+			writeJSON(w, http.StatusConflict, v.view(false))
+		}
+	})
+	s.mux.HandleFunc("GET "+path+"/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+		if v, ok := lookup(w, r); ok {
+			s.stream(w, r, v)
+		}
+	})
+	s.mux.HandleFunc("GET "+path+"/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
+		v, ok := lookup(w, r)
+		if !ok {
+			return
+		}
+		traceID, spans := trace(v)
+		if spans == nil {
+			spans = []obsv.SpanView{}
+		}
+		writeJSON(w, http.StatusOK, struct {
+			ID      string          `json:"id"`
+			State   State           `json:"state"`
+			TraceID string          `json:"trace_id,omitempty"`
+			Spans   []obsv.SpanView `json:"spans"`
+		}{ID: v.core().ID, State: v.core().State(), TraceID: traceID, Spans: spans})
+	})
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j, err := s.svc.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, j.Snapshot(true))
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, changed, err := s.svc.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	if !changed {
-		// The job already reached a terminal state: report the conflict
-		// (and the state it ended in) instead of pretending to cancel it.
-		writeJSON(w, http.StatusConflict, j.Snapshot(false))
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j.Snapshot(false))
-}
-
-// handleEvents streams job progress as server-sent events: one "progress"
-// event per tick (state and simulation count) and a final "done" event with
-// the full job view when the job reaches a terminal state.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, err := s.svc.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
+// stream serves a resource's progress as server-sent events: buffered ring
+// events under their kind's SSE names (a consumer that fell behind the ring
+// first learns how many events it missed, then gets the survivors in
+// order), a periodic "progress" summary, and a final "done" with the full
+// view once the resource is terminal.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, res resource) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusNotImplemented, "streaming unsupported")
@@ -490,31 +384,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b)
 		flusher.Flush()
 	}
-
-	type progress struct {
-		ID    string `json:"id"`
-		State State  `json:"state"`
-		Sims  int64  `json:"sims"`
-	}
-	// drain forwards buffered convergence diagnostics since the cursor. A
-	// consumer that fell behind the ring first learns how many events it
-	// missed, then gets the survivors in order.
+	c := res.core()
 	var cursor uint64
 	drain := func() {
-		events, dropped, next := j.DiagSince(cursor)
+		events, dropped, next := c.DiagSince(cursor)
 		cursor = next
 		if dropped > 0 {
 			emit("dropped", map[string]uint64{"missed": dropped})
 		}
 		for _, ev := range events {
-			// Statistical-health verdicts get their own SSE event name so
-			// dashboards can subscribe to violations without parsing every
-			// convergence diagnostic.
-			if ev.Kind == "health" {
-				emit("health", ev)
-				continue
-			}
-			emit("diag", ev)
+			emit(res.eventName(ev.Kind), ev)
 		}
 	}
 	ticker := time.NewTicker(s.EventInterval)
@@ -523,35 +402,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-j.Done():
+		case <-c.Done():
 			drain()
-			emit("done", j.Snapshot(true))
+			emit("done", res.view(true))
 			return
 		case <-ticker.C:
 			drain()
-			emit("progress", progress{ID: j.ID, State: j.State(), Sims: j.Sims()})
+			emit("progress", res.progress())
 		}
 	}
-}
-
-// handleTrace serves the job's span timeline: the live trace for jobs run by
-// this process, or the persisted timeline of a recovered job.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, err := s.svc.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	tp, _ := decodeTrace(j.TracePayload())
-	if tp.Spans == nil {
-		tp.Spans = []obsv.SpanView{}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		ID      string          `json:"id"`
-		State   State           `json:"state"`
-		TraceID string          `json:"trace_id,omitempty"`
-		Spans   []obsv.SpanView `json:"spans"`
-	}{ID: j.ID, State: j.State(), TraceID: tp.TraceID, Spans: tp.Spans})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -197,18 +196,11 @@ type Service struct {
 	tel     *telemetry
 	started time.Time
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []*Job // submission order, for listing
-	nextID int64
-
-	// Sweep bookkeeping: controllers run as goroutines tracked by sweepWG so
-	// Drain can wait them out after the worker pool settles.
-	sweepMu     sync.Mutex
-	sweeps      map[string]*Sweep
-	sweepOrder  []*Sweep
-	nextSweepID int64
-	sweepWG     sync.WaitGroup
+	jobs   *registry[*Job]
+	sweeps *registry[*Sweep]
+	// Sweep controllers run as goroutines tracked by sweepWG so Drain can
+	// wait them out after the worker pool settles.
+	sweepWG sync.WaitGroup
 
 	sweepPointsDone atomic.Int64 // grid points driven to completion
 	sweepWarmPoints atomic.Int64 // points seeded from a predecessor
@@ -246,8 +238,8 @@ func New(cfg Config) *Service {
 		log:        cfg.Logger,
 		tel:        newTelemetry(),
 		started:    time.Now(),
-		jobs:       make(map[string]*Job),
-		sweeps:     make(map[string]*Sweep),
+		jobs:       newRegistry[*Job]("j", cfg.NodeID, ErrNotFound),
+		sweeps:     newRegistry[*Sweep]("sw", cfg.NodeID, ErrSweepNotFound),
 	}
 	// Route per-curve solver tallies into the iterations histogram. The
 	// registration is process-global, like TotalSolveTelemetry; the newest
@@ -274,7 +266,7 @@ func New(cfg Config) *Service {
 	// restart their controllers after it, so their point jobs have workers.
 	var resume []*Sweep
 	for _, rs := range rec.Sweeps {
-		if sw := s.restoreSweepRec(rs); sw != nil {
+		if sw := s.restoreSweepRec(rs, rec.Results); sw != nil {
 			resume = append(resume, sw)
 		}
 	}
@@ -291,17 +283,8 @@ func New(cfg Config) *Service {
 // crash time returns non-nil and the caller restarts its controller once the
 // pool is up — completed points answer from the restored cache, queued
 // recovered point jobs are adopted by key, and only the remainder re-runs.
-func (s *Service) restoreSweepRec(rs RecoveredSweep) *Sweep {
-	// IDs are "sw000001" or, under Config.NodeID, "s1-sw000001"; the counter
-	// always follows the last "sw".
-	var n int64
-	num := rs.ID
-	if i := strings.LastIndex(num, "sw"); i >= 0 {
-		num = num[i:]
-	}
-	if _, err := fmt.Sscanf(num, "sw%d", &n); err == nil && n > s.nextSweepID {
-		s.nextSweepID = n
-	}
+func (s *Service) restoreSweepRec(rs RecoveredSweep, results map[string]json.RawMessage) *Sweep {
+	s.sweeps.observe(rs.ID)
 	var spec SweepSpec
 	if err := json.Unmarshal(rs.Spec, &spec); err != nil {
 		s.log.Warn("recovery: dropping sweep with undecodable spec", "sweep", rs.ID, "err", err)
@@ -317,14 +300,13 @@ func (s *Service) restoreSweepRec(rs RecoveredSweep) *Sweep {
 		return nil
 	}
 	if rs.State.Terminal() {
-		s.trackSweep(restoreSweep(rs, spec, points))
+		s.sweeps.add(restoreSweep(rs, spec, points, results))
 		return nil
 	}
 	s.replayed++
-	sw := newSweep(s.baseCtx, rs.ID, spec, rs.Key, rs.Tenant, points, s.cfg.EventBuffer)
+	sw := s.newSweep(rs.ID, spec, rs.Key, rs.Tenant, points, obsv.TraceContext{})
 	sw.created = rs.Created
-	sw.onState = s.onSweepState
-	s.trackSweep(sw)
+	s.sweeps.add(sw)
 	return sw
 }
 
@@ -332,16 +314,7 @@ func (s *Service) restoreSweepRec(rs RecoveredSweep) *Sweep {
 // submit record — the store already holds one — but re-run jobs do append
 // their new transitions, so a second crash replays from the furthest state.
 func (s *Service) restore(rj RecoveredJob, results map[string]json.RawMessage) {
-	// IDs are "j000001" or, under Config.NodeID, "s1-j000001"; the counter
-	// always follows the last 'j'.
-	var n int64
-	num := rj.ID
-	if i := strings.LastIndexByte(num, 'j'); i >= 0 {
-		num = num[i:]
-	}
-	if _, err := fmt.Sscanf(num, "j%d", &n); err == nil && n > s.nextID {
-		s.nextID = n
-	}
+	s.jobs.observe(rj.ID)
 	var spec JobSpec
 	if err := json.Unmarshal(rj.Spec, &spec); err != nil {
 		s.log.Warn("recovery: dropping job with undecodable spec", "job", rj.ID, "err", err)
@@ -358,14 +331,12 @@ func (s *Service) restore(rj RecoveredJob, results map[string]json.RawMessage) {
 		if rj.State == StateDone {
 			res = results[rj.Key]
 		}
-		s.track(restoreJob(rj, spec, res))
+		s.jobs.add(restoreJob(rj, spec, res))
 		return
 	}
 	s.replayed++
-	j := newJob(s.baseCtx, rj.ID, spec, rj.Key, s.cfg.EventBuffer)
-	j.Tenant = rj.Tenant
-	j.onState = s.onJobState
-	s.track(j)
+	j := s.newJob(rj.ID, spec, rj.Key, rj.Tenant, obsv.TraceContext{})
+	s.jobs.add(j)
 	if payload, ok := s.cache.get(rj.Key); ok {
 		j.finishCached(payload)
 		return
@@ -438,29 +409,18 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, tc obsv.TraceContext
 		spec.Parallelism = s.cfg.MaxJobParallelism
 	}
 	key := spec.Key()
-
-	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("j%06d", s.nextID)
-	s.mu.Unlock()
-	if s.cfg.NodeID != "" {
-		id = s.cfg.NodeID + "-" + id
-	}
-
+	id := s.jobs.mint()
 	raw, err := json.Marshal(spec) // normalized: the canonical persisted form
 	if err != nil {
 		return nil, fmt.Errorf("service: marshal spec: %w", err)
 	}
 
 	if payload, ok := s.cache.get(key); ok {
-		j := newJob(s.baseCtx, id, spec, key, s.cfg.EventBuffer)
-		j.Tenant = tenant
-		j.onState = s.onJobState
-		s.adoptTrace(j, tc)
+		j := s.newJob(id, spec, key, tenant, tc)
 		j.trace.Add("cache.hit", -1, j.created, time.Now())
 		s.persistSubmit(j, raw, true)
 		j.finishCached(payload)
-		s.track(j)
+		s.jobs.add(j)
 		return j, nil
 	}
 
@@ -475,15 +435,12 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, tc obsv.TraceContext
 				s.appendErrs.Add(1)
 				s.log.Error("persist remote result failed", "key", key, "err", perr)
 			}
-			j := newJob(s.baseCtx, id, spec, key, s.cfg.EventBuffer)
-			j.Tenant = tenant
-			j.onState = s.onJobState
-			s.adoptTrace(j, tc)
+			j := s.newJob(id, spec, key, tenant, tc)
 			j.trace.Add("cache.remote_hit", -1, j.created, time.Now())
 			s.remoteHits.Add(1)
 			s.persistSubmit(j, raw, true)
 			j.finishCached(payload)
-			s.track(j)
+			s.jobs.add(j)
 			return j, nil
 		}
 	}
@@ -491,19 +448,16 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, tc obsv.TraceContext
 	if s.draining.Load() {
 		return nil, ErrDraining
 	}
-	j := newJob(s.baseCtx, id, spec, key, s.cfg.EventBuffer)
-	j.Tenant = tenant
-	j.onState = s.onJobState
-	s.adoptTrace(j, tc)
+	j := s.newJob(id, spec, key, tenant, tc)
 	// The submit record goes to the journal before the job can reach a
 	// worker, so replay never sees a transition for an unknown job. A
 	// rejected enqueue is voided with a drop record; a crash between the
 	// two merely re-runs a job the client saw refused — harmless, because
 	// specs are deterministic.
 	s.persistSubmit(j, raw, false)
-	s.track(j)
+	s.jobs.add(j)
 	if err := s.queue.tryEnqueue(j); err != nil {
-		s.remove(j)
+		s.jobs.remove(j)
 		if derr := s.st.AppendDrop(j.ID); derr != nil {
 			s.appendErrs.Add(1)
 			s.log.Error("persist drop failed", "job", j.ID, "err", derr)
@@ -546,31 +500,17 @@ func (s *Service) SubmitSweepTraced(tenant string, spec SweepSpec, tc obsv.Trace
 		return nil, ErrDraining
 	}
 	key := spec.Key()
-
-	s.sweepMu.Lock()
-	s.nextSweepID++
-	id := fmt.Sprintf("sw%06d", s.nextSweepID)
-	s.sweepMu.Unlock()
-	if s.cfg.NodeID != "" {
-		id = s.cfg.NodeID + "-" + id
-	}
-
+	id := s.sweeps.mint()
 	raw, err := json.Marshal(spec)
 	if err != nil {
 		return nil, fmt.Errorf("service: marshal sweep spec: %w", err)
 	}
-	sw := newSweep(s.baseCtx, id, spec, key, tenant, points, s.cfg.EventBuffer)
-	sw.trace.SetMaxSpans(s.cfg.TraceMaxSpans)
-	if len(tc.TraceID) == 32 {
-		sw.trace.SetID(tc.TraceID)
-		sw.parentSpan = tc.SpanID
-	}
-	sw.onState = s.onSweepState
+	sw := s.newSweep(id, spec, key, tenant, points, tc)
 	if perr := s.st.AppendSweep(id, raw, key, tenant, sw.created); perr != nil {
 		s.appendErrs.Add(1)
 		s.log.Error("persist sweep submit failed", "sweep", id, "err", perr)
 	}
-	s.trackSweep(sw)
+	s.sweeps.add(sw)
 	s.sweepWG.Add(1)
 	go s.runSweep(sw)
 	return sw, nil
@@ -579,7 +519,7 @@ func (s *Service) SubmitSweepTraced(tenant string, spec SweepSpec, tc obsv.Trace
 // onSweepState persists every committed sweep transition. The aggregate
 // result rides the terminal record: it embeds nondeterministic job IDs, so
 // it is journal-state, never a content-addressed cache entry.
-func (s *Service) onSweepState(sw *Sweep, state State, errMsg string, result json.RawMessage, at time.Time) {
+func (s *Service) onSweepState(sw *Sweep, state State, errMsg string, at time.Time) {
 	if state.Terminal() {
 		if errMsg != "" {
 			s.log.Info("sweep finished", "sweep", sw.ID, "state", state, "err", errMsg)
@@ -587,36 +527,21 @@ func (s *Service) onSweepState(sw *Sweep, state State, errMsg string, result jso
 			s.log.Info("sweep finished", "sweep", sw.ID, "state", state, "points", len(sw.points))
 		}
 	}
+	var result json.RawMessage
+	if res := sw.Result(); res != nil {
+		result, _ = json.Marshal(res)
+	}
 	if err := s.st.AppendSweepState(sw.ID, state, errMsg, result, at); err != nil {
 		s.appendErrs.Add(1)
 		s.log.Error("persist sweep state failed", "sweep", sw.ID, "state", state, "err", err)
 	}
 }
 
-func (s *Service) trackSweep(sw *Sweep) {
-	s.sweepMu.Lock()
-	defer s.sweepMu.Unlock()
-	s.sweeps[sw.ID] = sw
-	s.sweepOrder = append(s.sweepOrder, sw)
-}
-
 // GetSweep returns a sweep by ID.
-func (s *Service) GetSweep(id string) (*Sweep, error) {
-	s.sweepMu.Lock()
-	defer s.sweepMu.Unlock()
-	sw, ok := s.sweeps[id]
-	if !ok {
-		return nil, ErrSweepNotFound
-	}
-	return sw, nil
-}
+func (s *Service) GetSweep(id string) (*Sweep, error) { return s.sweeps.get(id) }
 
 // Sweeps returns every known sweep in submission order.
-func (s *Service) Sweeps() []*Sweep {
-	s.sweepMu.Lock()
-	defer s.sweepMu.Unlock()
-	return append([]*Sweep(nil), s.sweepOrder...)
-}
+func (s *Service) Sweeps() []*Sweep { return s.sweeps.list() }
 
 // CancelSweep requests cancellation of a sweep; false means it was already
 // terminal (409 at the HTTP layer).
@@ -639,41 +564,12 @@ func (s *Service) CancelSweep(id string) (*Sweep, bool, error) {
 	return sw, changed, nil
 }
 
-// adoptTrace applies the configured span cap to a freshly minted job's trace
-// and joins it to a propagated distributed trace context, replacing the
-// job's own trace ID. A zero/invalid context leaves the minted ID in place.
-func (s *Service) adoptTrace(j *Job, tc obsv.TraceContext) {
-	j.trace.SetMaxSpans(s.cfg.TraceMaxSpans)
-	if len(tc.TraceID) == 32 {
-		j.trace.SetID(tc.TraceID)
-	}
-}
-
 // persistSubmit appends the job's submit record, logging (not failing) on
 // store errors: the service prefers availability over durability.
 func (s *Service) persistSubmit(j *Job, raw json.RawMessage, cached bool) {
 	if err := s.st.AppendSubmit(j.ID, raw, j.Key, j.Tenant, cached, j.created); err != nil {
 		s.appendErrs.Add(1)
 		s.log.Error("persist submit failed", "job", j.ID, "err", err)
-	}
-}
-
-func (s *Service) track(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j)
-}
-
-func (s *Service) remove(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, j.ID)
-	for i, o := range s.order {
-		if o == j {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
 	}
 }
 
@@ -685,22 +581,10 @@ func (s *Service) CachedResult(key string) (json.RawMessage, bool) {
 }
 
 // Get returns a job by ID.
-func (s *Service) Get(id string) (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return j, nil
-}
+func (s *Service) Get(id string) (*Job, error) { return s.jobs.get(id) }
 
 // Jobs returns every known job in submission order.
-func (s *Service) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Job(nil), s.order...)
-}
+func (s *Service) Jobs() []*Job { return s.jobs.list() }
 
 // Cancel requests cancellation of a job by ID. The boolean reports whether
 // the request had any effect: false means the job was already in a

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"ecripse/internal/montecarlo"
@@ -16,43 +15,33 @@ import (
 var ErrSweepNotFound = errors.New("service: no such sweep")
 
 // Sweep is one submitted sweep: a grid of point jobs planned from a
-// SweepSpec and driven by a controller goroutine. Point jobs are ordinary
-// jobs — content-addressed, cached, persisted — so a re-submitted or
-// recovered sweep answers its completed points from the cache and only
-// computes the remainder.
+// SweepSpec and driven by a controller goroutine. It is the same resource as
+// a job — one lifecycle, registry, event stream and trace surface — with a
+// point plan in place of a single spec. Point jobs are ordinary jobs —
+// content-addressed, cached, persisted — so a re-submitted or recovered
+// sweep answers its completed points from the cache and only computes the
+// remainder.
 type Sweep struct {
-	ID     string
-	Spec   SweepSpec
-	Key    string // content address of the sweep spec
-	Tenant string
+	lifecycle
+	Spec SweepSpec
 
 	points []PointPlan
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	done   chan struct{}
-	events *eventRing
-	trace  *obsv.Trace
 	// parentSpan is the remote parent span ID propagated with the sweep
 	// (the router's dispatch span); recorded on the root span so the
 	// router can graft this shard's tree into its own.
 	parentSpan string
 
-	// onState observes committed sweep transitions (the service persists
-	// them); result rides the terminal record so the aggregate — which
-	// contains nondeterministic job IDs and is therefore not content-
-	// addressable — survives restarts without entering the result cache.
-	onState func(sw *Sweep, state State, errMsg string, result json.RawMessage, at time.Time)
-
-	mu        sync.Mutex
-	state     State
-	errMsg    string
+	// result is the aggregate; it rides the terminal journal record, so the
+	// aggregate — which contains nondeterministic job IDs and is therefore
+	// not content-addressable — survives restarts without entering the
+	// result cache. rawResult is the persisted aggregate of a recovered
+	// sweep, decoded lazily.
 	result    *SweepResult
-	rawResult json.RawMessage // recovered terminal sweeps
-	pstate    []SweepPointStatus
-	created   time.Time
-	started   time.Time
-	finished  time.Time
+	rawResult json.RawMessage
+	// pstate is the live per-point status; recoveredDone counts the points
+	// of a sweep restored terminal whose content key has a journaled result.
+	pstate        []SweepPointStatus
+	recoveredDone int
 }
 
 // SweepPointStatus is the live per-point progress of a sweep.
@@ -99,69 +88,34 @@ type SweepResult struct {
 	WarmPoints   int `json:"warm_points,omitempty"`
 }
 
-// newSweep creates a running-ready sweep whose context descends from parent.
-// The sweep's trace is minted with a fresh distributed trace ID (overridden
-// when a traceparent propagated in); every point job joins the same ID.
-func newSweep(parent context.Context, id string, spec SweepSpec, key, tenant string, points []PointPlan, eventCap int) *Sweep {
-	ctx, cancel := context.WithCancel(parent)
-	tr := obsv.NewTrace()
-	tr.SetID(obsv.NewTraceID())
-	sw := &Sweep{
-		ID:      id,
-		Spec:    spec,
-		Key:     key,
-		Tenant:  tenant,
-		points:  points,
-		ctx:     ctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		events:  newEventRing(eventCap),
-		trace:   tr,
-		state:   StateQueued,
-		created: time.Now(),
-		pstate:  make([]SweepPointStatus, len(points)),
-	}
+// newSweep creates a queued sweep wired to the service: transitions are
+// persisted and the trace joins tc — every point job joins the same ID, and
+// tc's span ID (the router's dispatch span) is kept for the root sweep span.
+func (s *Service) newSweep(id string, spec SweepSpec, key, tenant string, points []PointPlan, tc obsv.TraceContext) *Sweep {
+	sw := &Sweep{Spec: spec, points: points, pstate: make([]SweepPointStatus, len(points))}
 	for i := range sw.pstate {
 		sw.pstate[i] = SweepPointStatus{Index: i, State: StateQueued}
 	}
-	return sw
-}
-
-// restoreSweep rebuilds a terminal sweep from the persistent store.
-func restoreSweep(r RecoveredSweep, spec SweepSpec, points []PointPlan) *Sweep {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sw := &Sweep{
-		ID:        r.ID,
-		Spec:      spec,
-		Key:       r.Key,
-		Tenant:    r.Tenant,
-		points:    points,
-		ctx:       ctx,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		events:    newEventRing(0),
-		trace:     obsv.NewTrace(),
-		state:     r.State,
-		errMsg:    r.Error,
-		rawResult: r.Result,
-		created:   r.Created,
-		started:   r.Started,
-		finished:  r.Finished,
+	sw.start(s, id, key, tenant, tc)
+	if len(tc.TraceID) == 32 {
+		sw.parentSpan = tc.SpanID
 	}
-	close(sw.done)
+	sw.onState = func(state State, errMsg string, at time.Time) { s.onSweepState(sw, state, errMsg, at) }
 	return sw
 }
 
-// State returns the sweep's lifecycle state.
-func (sw *Sweep) State() State {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.state
+// restoreSweep rebuilds a terminal sweep from the persistent store. A point
+// counts as done iff its content key has a journaled result.
+func restoreSweep(r RecoveredSweep, spec SweepSpec, points []PointPlan, results map[string]json.RawMessage) *Sweep {
+	sw := &Sweep{Spec: spec, points: points, rawResult: r.Result}
+	for _, p := range points {
+		if _, ok := results[p.Key]; ok {
+			sw.recoveredDone++
+		}
+	}
+	sw.restore(r.ID, r.Key, r.Tenant, r.State, r.Error, r.Created, r.Started, r.Finished)
+	return sw
 }
-
-// Done returns a channel closed when the sweep reaches a terminal state.
-func (sw *Sweep) Done() <-chan struct{} { return sw.done }
 
 // Result returns the aggregate (nil while unfinished). For sweeps recovered
 // from disk it is the persisted payload decoded lazily.
@@ -177,60 +131,23 @@ func (sw *Sweep) Result() *SweepResult {
 	return sw.result
 }
 
-// Cancel requests cancellation of the sweep and its in-flight points.
-// Reports false once terminal.
-func (sw *Sweep) Cancel() bool {
-	sw.mu.Lock()
-	if sw.state.Terminal() {
-		sw.mu.Unlock()
-		return false
-	}
-	sw.mu.Unlock()
-	sw.cancel() // the controller observes it and finishes as canceled
-	return true
-}
+// Cancel requests cancellation of the sweep; the controller observes it,
+// cancels its in-flight points and finishes as canceled. Reports false once
+// terminal.
+func (sw *Sweep) Cancel() bool { return sw.requestCancel() }
 
-// markRunning transitions queued → running (the controller's first act).
-func (sw *Sweep) markRunning() {
-	sw.mu.Lock()
-	sw.state = StateRunning
-	sw.started = time.Now()
-	at := sw.started
-	sw.mu.Unlock()
-	if sw.onState != nil {
-		sw.onState(sw, StateRunning, "", nil, at)
-	}
-}
-
-// finish commits the terminal state (idempotent, like Job.finish).
+// finish commits the terminal state with the aggregate (nil unless done).
+// The terminal transition is published into the event ring before the done
+// channel closes: SSE consumers drain the ring once more when done closes,
+// so every subscriber observes the terminal "sweep" event ahead of the final
+// "done" — including subscribers to a sweep torn down by DELETE.
 func (sw *Sweep) finish(state State, res *SweepResult, errMsg string) {
-	sw.mu.Lock()
-	if sw.state.Terminal() {
-		sw.mu.Unlock()
-		return
-	}
-	sw.state = state
-	sw.result = res
-	sw.errMsg = errMsg
-	sw.finished = time.Now()
-	at := sw.finished
-	sw.mu.Unlock()
-	sw.cancel()
-	var raw json.RawMessage
-	if res != nil {
-		raw, _ = json.Marshal(res)
-	}
-	// Publish the terminal transition into the event ring BEFORE closing the
-	// done channel: SSE consumers drain the ring once more when done closes,
-	// so every subscriber observes the terminal "sweep" event ahead of the
-	// final "done" — including subscribers to a sweep torn down by DELETE.
-	sw.events.publish("sweep", sweepTerminal{
-		ID: sw.ID, State: state, Error: errMsg, PointsDone: sw.PointsDone(), NumPoints: len(sw.points),
+	sw.end(state, errMsg, "", func() {
+		sw.result = res
+		sw.events.publish("sweep", sweepTerminal{
+			ID: sw.ID, State: state, Error: errMsg, PointsDone: sw.pointsDone(), NumPoints: len(sw.points),
+		})
 	})
-	close(sw.done)
-	if sw.onState != nil {
-		sw.onState(sw, state, errMsg, raw, at)
-	}
 }
 
 // sweepTerminal is the payload of the terminal "sweep" SSE event.
@@ -265,16 +182,17 @@ func (sw *Sweep) setPoint(i int, st SweepPointStatus) {
 	sw.events.publish("point", st)
 }
 
-// DiagSince drains sweep events (per-point progress) at or after cursor.
-func (sw *Sweep) DiagSince(cursor uint64) (events []DiagEvent, dropped uint64, next uint64) {
-	return sw.events.since(cursor)
-}
-
 // PointsDone counts points in a terminal state.
 func (sw *Sweep) PointsDone() int {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	n := 0
+	return sw.pointsDone()
+}
+
+// pointsDone counts terminal points (plus, for a restored sweep, the points
+// with journaled results). The caller holds mu.
+func (sw *Sweep) pointsDone() int {
+	n := sw.recoveredDone
 	for _, p := range sw.pstate {
 		if p.State.Terminal() {
 			n++
@@ -308,36 +226,41 @@ func (sw *Sweep) Snapshot(withDetail bool) SweepView {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	v := SweepView{
-		ID:        sw.ID,
-		State:     sw.state,
-		Tenant:    sw.Tenant,
-		Error:     sw.errMsg,
-		Key:       sw.Key,
-		NumPoints: len(sw.points),
-		WarmStart: sw.Spec.WarmStart,
-		CreatedAt: sw.created.UTC().Format(time.RFC3339Nano),
-		Spec:      sw.Spec,
+		ID:         sw.ID,
+		State:      sw.state,
+		Tenant:     sw.Tenant,
+		Error:      sw.errMsg,
+		Key:        sw.Key,
+		NumPoints:  len(sw.points),
+		PointsDone: sw.pointsDone(),
+		WarmStart:  sw.Spec.WarmStart,
+		Spec:       sw.Spec,
 	}
-	for _, p := range sw.pstate {
-		if p.State.Terminal() {
-			v.PointsDone++
-		}
-	}
-	if sw.state.Terminal() && len(sw.pstate) == 0 {
-		v.PointsDone = len(sw.points) // recovered terminal sweep
-	}
-	if !sw.started.IsZero() {
-		v.StartedAt = sw.started.UTC().Format(time.RFC3339Nano)
-	}
-	if !sw.finished.IsZero() {
-		v.FinishedAt = sw.finished.UTC().Format(time.RFC3339Nano)
-	}
+	v.CreatedAt, v.StartedAt, v.FinishedAt = sw.stamps()
 	if withDetail {
 		v.Points = append([]SweepPointStatus(nil), sw.pstate...)
 		v.Result = res
 	}
 	return v
 }
+
+func (sw *Sweep) view(detail bool) any { return sw.Snapshot(detail) }
+
+// sweepProgress is the periodic SSE progress payload of a sweep.
+type sweepProgress struct {
+	ID         string `json:"id"`
+	State      State  `json:"state"`
+	NumPoints  int    `json:"num_points"`
+	PointsDone int    `json:"points_done"`
+}
+
+func (sw *Sweep) progress() any {
+	return sweepProgress{ID: sw.ID, State: sw.State(), NumPoints: len(sw.points), PointsDone: sw.PointsDone()}
+}
+
+// eventName streams ring events under their own kind: per-point progress as
+// "point", the terminal transition as "sweep" (always ahead of "done").
+func (sw *Sweep) eventName(kind string) string { return kind }
 
 // runSweep is the controller: it drives every planned point through the
 // regular job pipeline and assembles the aggregate. Warm sweeps run their
@@ -469,49 +392,57 @@ func (s *Service) waitPoint(sw *Sweep, i int, j *Job, parent *obsv.Span) error {
 // findActiveByKey returns a queued or running job computing the given
 // content key, if any.
 func (s *Service) findActiveByKey(key string) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range s.order {
-		if j.Key == key && !j.State().Terminal() {
-			return j
-		}
+	return s.jobs.find(func(j *Job) bool { return j.Key == key && !j.State().Terminal() })
+}
+
+// pointResult starts a point's aggregate entry from its plan.
+func pointResult(p PointPlan) SweepPointResult {
+	return SweepPointResult{Index: p.Index, Alpha: p.Alpha, Vdd: p.Vdd, TempK: p.TempK, Key: p.Key, Warm: p.Warm}
+}
+
+// sweepFold accumulates finished points into a sweep's aggregate.
+type sweepFold struct {
+	res SweepResult
+	// coldInit and coldWarmup are the boundary-init and classifier warm-up
+	// costs of the last cold point.
+	coldInit, coldWarmup int64
+}
+
+// add folds one finished point: its cost into the total, the cached and
+// warm tallies, and for a warm point the simulations seeding saved — the
+// boundary init (and, unless cloud-only, the warm-up) its nearest cold
+// predecessor paid.
+func (f *sweepFold) add(p PointPlan, pr SweepPointResult) {
+	f.res.TotalSims += pr.Cost.Total
+	if pr.Cached {
+		f.res.CachedPoints++
 	}
-	return nil
+	if p.Warm {
+		f.res.WarmPoints++
+		f.res.SimsSaved += f.coldInit
+		if !p.CloudOnly {
+			f.res.SimsSaved += f.coldWarmup
+		}
+	} else {
+		f.coldInit, f.coldWarmup = pr.Cost.Init, pr.Cost.Warmup
+	}
+	f.res.Points = append(f.res.Points, pr)
 }
 
 // assembleSweep folds the finished point jobs into the aggregate.
 func (s *Service) assembleSweep(sw *Sweep, jobs []*Job) *SweepResult {
-	res := &SweepResult{Points: make([]SweepPointResult, 0, len(jobs))}
-	var lastColdInit, lastColdWarmup int64
+	f := sweepFold{res: SweepResult{Points: make([]SweepPointResult, 0, len(jobs))}}
 	for i, j := range jobs {
-		p := sw.points[i]
 		v := j.Snapshot(true)
-		pr := SweepPointResult{
-			Index: i, Alpha: p.Alpha, Vdd: p.Vdd, TempK: p.TempK,
-			JobID: j.ID, Key: p.Key, Cached: v.Cached, Warm: p.Warm,
-		}
+		pr := pointResult(sw.points[i])
+		pr.JobID, pr.Cached = j.ID, v.Cached
 		var rr RunResult
 		if err := json.Unmarshal(v.Result, &rr); err == nil {
 			pr.Estimate, pr.Cost = rr.Estimate, rr.Cost
-			pr.Cost.Total = rr.Cost.Total
 		}
-		res.TotalSims += pr.Cost.Total
-		if v.Cached {
-			res.CachedPoints++
-		}
-		if p.Warm {
-			res.WarmPoints++
-			saved := lastColdInit
-			if !p.CloudOnly {
-				saved += lastColdWarmup
-			}
-			res.SimsSaved += saved
-		} else {
-			lastColdInit, lastColdWarmup = pr.Cost.Init, pr.Cost.Warmup
-		}
-		res.Points = append(res.Points, pr)
+		f.add(sw.points[i], pr)
 	}
-	return res
+	return &f.res
 }
 
 // RunSweepLocal executes a normalized sweep in-process, without a service:
@@ -542,19 +473,14 @@ func RunSweepLocal(ctx context.Context, spec SweepSpec, runFn func(context.Conte
 		return p, ok
 	}}
 
-	res := &SweepResult{Points: make([]SweepPointResult, 0, len(points))}
+	f := sweepFold{res: SweepResult{Points: make([]SweepPointResult, 0, len(points))}}
 	var errs []error
-	var lastColdInit, lastColdWarmup int64
 	for _, p := range points {
-		pr := SweepPointResult{
-			Index: p.Index, Alpha: p.Alpha, Vdd: p.Vdd, TempK: p.TempK,
-			Key: p.Key, Warm: p.Warm,
-		}
-		counter := &montecarlo.Counter{}
-		out, rerr := runFn(withRunHooks(ctx, hooks), p.Spec, counter)
+		pr := pointResult(p)
+		out, rerr := runFn(withRunHooks(ctx, hooks), p.Spec, &montecarlo.Counter{})
 		if rerr != nil {
 			pr.Error = rerr.Error()
-			res.Points = append(res.Points, pr)
+			f.res.Points = append(f.res.Points, pr)
 			errs = append(errs, fmt.Errorf("point %d: %w", p.Index, rerr))
 			if spec.WarmStart {
 				break // successors would need this point's warm state
@@ -564,7 +490,7 @@ func RunSweepLocal(ctx context.Context, spec SweepSpec, runFn func(context.Conte
 		raw, merr := json.Marshal(out)
 		if merr != nil {
 			pr.Error = merr.Error()
-			res.Points = append(res.Points, pr)
+			f.res.Points = append(f.res.Points, pr)
 			errs = append(errs, fmt.Errorf("point %d: marshal: %w", p.Index, merr))
 			if spec.WarmStart {
 				break
@@ -573,18 +499,7 @@ func RunSweepLocal(ctx context.Context, spec SweepSpec, runFn func(context.Conte
 		}
 		payloads[p.Key] = raw
 		pr.Estimate, pr.Cost = out.Estimate, out.Cost
-		res.TotalSims += out.Cost.Total
-		if p.Warm {
-			res.WarmPoints++
-			saved := lastColdInit
-			if !p.CloudOnly {
-				saved += lastColdWarmup
-			}
-			res.SimsSaved += saved
-		} else {
-			lastColdInit, lastColdWarmup = out.Cost.Init, out.Cost.Warmup
-		}
-		res.Points = append(res.Points, pr)
+		f.add(p, pr)
 	}
-	return res, errors.Join(errs...)
+	return &f.res, errors.Join(errs...)
 }

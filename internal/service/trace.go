@@ -60,17 +60,9 @@ func (s *Service) pointTrace(j *Job) (tracePayload, string, bool) {
 // the given content key (excluding one job ID) — the job whose trace holds
 // the real engine spans behind a cache hit.
 func (s *Service) findComputedByKey(key, excludeID string) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, j := range s.order {
-		if j.ID == excludeID || j.Key != key {
-			continue
-		}
-		if j.State() == StateDone && !j.IsCached() {
-			return j
-		}
-	}
-	return nil
+	return s.jobs.find(func(j *Job) bool {
+		return j.ID != excludeID && j.Key == key && j.State() == StateDone && !j.IsCached()
+	})
 }
 
 // AssembleSweepTrace builds the sweep's reassembled distributed trace: the
