@@ -164,16 +164,9 @@ func main() {
 		os.Exit(runSweep(spec))
 	}
 
-	var failMode ecripse.FailureMode
-	switch *mode {
-	case "read":
-		failMode = ecripse.ReadFailure
-	case "write":
-		failMode = ecripse.WriteFailure
-	case "hold":
-		failMode = ecripse.HoldFailure
-	default:
-		fmt.Fprintf(os.Stderr, "ecripse: unknown -mode %q (want read, write or hold)\n", *mode)
+	failMode, err := ecripse.ParseFailureMode(*mode)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ecripse: -mode: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -34,16 +34,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var failMode ecripse.FailureMode
-	switch *mode {
-	case "read":
-		failMode = ecripse.ReadFailure
-	case "write":
-		failMode = ecripse.WriteFailure
-	case "hold":
-		failMode = ecripse.HoldFailure
-	default:
-		fmt.Fprintf(os.Stderr, "yield: unknown -mode %q\n", *mode)
+	failMode, err := ecripse.ParseFailureMode(*mode)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "yield: -mode: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -98,6 +98,10 @@ const (
 	HoldFailure  = core.HoldFailure
 )
 
+// ParseFailureMode is the inverse of FailureMode.String: it accepts "read",
+// "write" or "hold".
+func ParseFailureMode(s string) (FailureMode, error) { return core.ParseFailureMode(s) }
+
 // Supply voltages of the paper's experiments.
 const (
 	// VddNominal is the 16 nm HP nominal supply (Figs. 6, 8).
@@ -212,49 +216,34 @@ func (e *Estimator) DutySweep(seed int64, cfg RTNConfig, alphas []float64) []Swe
 // for RDF-only). Every trial costs one transistor-level simulation.
 func NaiveMC(cell *Cell, seed int64, n int, cfg RTNConfig, alpha float64) (Series, Estimate) {
 	rng := rand.New(rand.NewSource(seed))
-	sigma := cell.SigmaVth()
-	snm := &sram.SNMOptions{GridN: 24, BisectIter: 24}
 	var sampler *rtn.Sampler
 	if alpha >= 0 {
 		sampler = rtn.NewSampler(cell, cfg, alpha)
 	}
-	var c montecarlo.Counter
+	ind := core.NewIndicator(cell, ReadFailure, nil, nil, nil)
+	x := make(linalg.Vector, NumTransistors)
 	trial := func(r *rand.Rand) bool {
-		c.Add(1)
-		var sh sram.Shifts
-		for i := range sh {
-			sh[i] = sigma[i] * r.NormFloat64()
+		for i := range x {
+			x[i] = r.NormFloat64()
 		}
+		sh := ind.Shifts(x)
 		if sampler != nil {
 			sh = sh.Add(sampler.Sample(r))
 		}
-		return cell.Fails(sh, snm)
+		return ind.FailsShifts(sh)
 	}
-	series := montecarlo.Naive(rng, trial, n, &c, 0)
+	series := montecarlo.Naive(rng, trial, n, ind.Counter(), 0)
 	fin := series.Final()
-	return series, Estimate{P: fin.P, CI95: fin.CI95, RelErr: fin.RelErr, N: n, Sims: c.Count()}
+	return series, Estimate{P: fin.P, CI95: fin.CI95, RelErr: fin.RelErr, N: n, Sims: ind.Counter().Count()}
 }
 
 // Conventional runs the sequential-importance-sampling baseline in the
 // style of the paper's reference [8] (every evaluation fully simulated).
-// It returns the convergence series and the estimate; opts may be nil.
+// It returns the convergence series and the estimate.
 func Conventional(cell *Cell, seed int64, nis int) (Series, Estimate) {
 	rng := rand.New(rand.NewSource(seed))
-	sigma := cell.SigmaVth()
-	snm := &sram.SNMOptions{GridN: 24, BisectIter: 24}
-	var c montecarlo.Counter
-	value := func(x linalg.Vector) float64 {
-		c.Add(1)
-		var sh sram.Shifts
-		for i := range sh {
-			sh[i] = x[i] * sigma[i]
-		}
-		if cell.Fails(sh, snm) {
-			return 1
-		}
-		return 0
-	}
-	res := sis.Estimate(rng, sram.NumTransistors, value, &c, &sis.Options{NIS: nis}, nil)
+	ind := core.NewIndicator(cell, ReadFailure, nil, nil, nil)
+	res := sis.Estimate(rng, NumTransistors, ind.Value, ind.Counter(), &sis.Options{NIS: nis}, nil)
 	return res.Series, res.Estimate
 }
 
@@ -266,18 +255,8 @@ func Conventional(cell *Cell, seed int64, nis int) (Series, Estimate) {
 // Section II-C comparison.
 func StatisticalBlockade(cell *Cell, seed int64, n int) (Series, Estimate) {
 	rng := rand.New(rand.NewSource(seed))
-	sigma := cell.SigmaVth()
-	snm := &sram.SNMOptions{GridN: 24, BisectIter: 24}
-	var c montecarlo.Counter
-	fails := func(x linalg.Vector) bool {
-		c.Add(1)
-		var sh sram.Shifts
-		for i := range sh {
-			sh[i] = x[i] * sigma[i]
-		}
-		return cell.Fails(sh, snm)
-	}
-	res := blockade.Estimate(rng, sram.NumTransistors, fails, &c, n, nil)
+	ind := core.NewIndicator(cell, ReadFailure, nil, nil, nil)
+	res := blockade.Estimate(rng, NumTransistors, ind.Fails, ind.Counter(), n, nil)
 	return res.Series, res.Estimate
 }
 
@@ -286,17 +265,9 @@ func StatisticalBlockade(cell *Cell, seed int64, n int) (Series, Estimate) {
 // classifier-free, proposal-free rare-event baseline. n is the samples per
 // level; the simulation count is roughly n × levels.
 func SubsetSimulation(cell *Cell, seed int64, n int) Estimate {
-	sigma := cell.SigmaVth()
-	snm := &sram.SNMOptions{GridN: 24, BisectIter: 24}
-	g := func(x linalg.Vector) float64 {
-		var sh sram.Shifts
-		for i := range sh {
-			sh[i] = x[i] * sigma[i]
-		}
-		return cell.ReadSNM(sh, snm)
-	}
 	rng := rand.New(rand.NewSource(seed))
-	res := subset.Estimate(rng, sram.NumTransistors, g, &subset.Options{N: n})
+	ind := core.NewIndicator(cell, ReadFailure, nil, nil, nil)
+	res := subset.Estimate(rng, NumTransistors, ind.Margin, &subset.Options{N: n})
 	return res.Estimate
 }
 

@@ -3,152 +3,11 @@ package core
 import (
 	"math/rand"
 	"sync/atomic"
-	"time"
 
 	"ecripse/internal/linalg"
-	"ecripse/internal/montecarlo"
 	"ecripse/internal/randx"
 	"ecripse/internal/rtn"
-	"ecripse/internal/sram"
 )
-
-// batchScratch is the engine's reusable per-barrier buffer set. simulateBatch
-// and marginBatch run single-threaded per engine (only their interior margin
-// work fans out, into disjoint sub-slices), so one scratch instance per
-// engine makes the steady-state barrier allocation-free.
-type batchScratch struct {
-	shs     []sram.Shifts
-	margins []float64
-	res     []sram.SNMResult
-	tallies []solverTally
-}
-
-// solverTally is a per-worker solver-telemetry accumulator, padded so that
-// neighbouring workers' counters never share a cache line. The lockstep
-// margin chunks bill their root-solve/iteration/lane counters here and the
-// barrier merges the tallies once, instead of every worker hammering the
-// engine's shared telemetry atomics mid-sweep.
-type solverTally struct {
-	t sram.SolveTelemetry
-	_ [32]byte
-}
-
-// shiftsInto fills shs[i] for every us[i] (see shifts).
-func (e *Engine) shiftsInto(us []linalg.Vector, shs []sram.Shifts) {
-	for i, u := range us {
-		shs[i] = e.shifts(u)
-	}
-}
-
-// growShifts returns a length-n shift buffer backed by buf when it fits.
-func growShifts(buf []sram.Shifts, n int) []sram.Shifts {
-	if cap(buf) < n {
-		return make([]sram.Shifts, n)
-	}
-	return buf[:n]
-}
-
-// growFloats returns a length-n float buffer backed by buf when it fits.
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// simulateBatch evaluates the true indicator at every point of us in bulk,
-// writing out[i] for us[i]. One call bills len(us) simulations, and every
-// label is bit-identical to a simulate call on the same point — the batch
-// exists purely for throughput: the margin evaluations march through the
-// lockstep SRAM solver instead of one root-solve latency chain per sample.
-// Called at batch barriers (single-threaded per engine); the margin work
-// inside fans out across Opts.Parallelism workers in lane-width chunks.
-// All working buffers come from the engine scratch, so a steady-state
-// barrier allocates nothing.
-func (e *Engine) simulateBatch(us []linalg.Vector, out []bool) {
-	n := len(us)
-	if n == 0 {
-		return
-	}
-	h := e.Opts.IndicatorHist
-	var t0 time.Time
-	if h != nil {
-		t0 = time.Now()
-	}
-	e.Counter.Add(int64(n))
-	sc := &e.scratch
-	sc.shs = growShifts(sc.shs, n)
-	shs := sc.shs
-	e.shiftsInto(us, shs)
-	sc.margins = growFloats(sc.margins, n)
-	margins := sc.margins
-	e.marginBatch(shs, margins)
-	for i, m := range margins {
-		out[i] = m < 0
-	}
-	if h != nil {
-		// One observation per simulation, each billed the batch mean, so the
-		// histogram's count keeps meaning "simulations" on both paths.
-		h.ObserveN(time.Since(t0).Seconds()/float64(n), int64(n))
-	}
-}
-
-// marginBatch evaluates the mode's signed margin [V] for every shift
-// vector, chunked to the lockstep lane width; chunks spread across the
-// engine's workers. Each margin is bit-identical to the scalar margin().
-// Solver telemetry accumulates in padded per-worker tallies and merges into
-// the engine's solver telemetry once after the fan-out, so concurrent
-// chunks never contend on the engine's shared counters.
-func (e *Engine) marginBatch(shs []sram.Shifts, out []float64) {
-	opts := e.snmOpts
-	if e.Opts.Mode == WriteFailure {
-		// No batched write-margin solver (yet): the write indicator keeps
-		// the scalar solve, parallel across samples.
-		montecarlo.ParFor(montecarlo.ClampWorkers(e.Opts.Parallelism, len(shs)), len(shs), func(w, i int) {
-			out[i] = e.Cell.WriteMargin(shs[i], opts)
-		})
-		return
-	}
-	o := *opts
-	if e.Opts.Mode == HoldFailure {
-		o.Hold = true
-	}
-	lanes := o.Lanes
-	if lanes <= 0 {
-		lanes = sram.DefaultBatchLanes
-	}
-	// Chunking is a pure function of (len, lanes) — never of the worker
-	// count — so the lane-slot accounting (part of cached results) stays
-	// parallelism-independent.
-	chunks := (len(shs) + lanes - 1) / lanes
-	workers := montecarlo.ClampWorkers(e.Opts.Parallelism, chunks)
-	sc := &e.scratch
-	if cap(sc.res) < len(shs) {
-		sc.res = make([]sram.SNMResult, len(shs))
-	}
-	res := sc.res[:len(shs)]
-	if len(sc.tallies) < workers {
-		sc.tallies = make([]solverTally, workers)
-	}
-	tallies := sc.tallies
-	montecarlo.ParFor(workers, chunks, func(w, ci int) {
-		lo := ci * lanes
-		hi := lo + lanes
-		if hi > len(shs) {
-			hi = len(shs)
-		}
-		co := o
-		co.Telemetry = &tallies[w].t
-		e.Cell.NoiseMarginBatch(shs[lo:hi], res[lo:hi], &co)
-		for i := lo; i < hi; i++ {
-			out[i] = res[i].SNM()
-		}
-	})
-	for w := 0; w < workers; w++ {
-		opts.Telemetry.Merge(&tallies[w].t)
-		tallies[w].t.Reset()
-	}
-}
 
 // stagedEval adapts the engine's labeling rules to the batch contracts:
 // the stage-1 rule to the staged contract of pfilter.StepParStaged, the
@@ -162,9 +21,9 @@ func (e *Engine) marginBatch(shs []sram.Shifts, out []float64) {
 // classifier boundary: Generate stages the raw draws (randomness only, no
 // classifier reads, safe to overlap with a settling barrier) and Score
 // applies the frozen-classifier decisions afterwards. Resolve settles every
-// parked draw of the window through one simulateBatch sweep and records the
-// observations for the classifier replay at the caller's flush barrier,
-// preserving per-index draw order.
+// parked draw of the window through one Indicator.FailsBatch sweep and
+// records the observations for the classifier replay at the caller's flush
+// barrier, preserving per-index draw order.
 type stagedEval struct {
 	e       *Engine
 	lab     *batchLabeler
@@ -193,23 +52,6 @@ func newStagedEval(e *Engine, lab *batchLabeler, sampler *rtn.Sampler, m int, st
 	return &stagedEval{e: e, lab: lab, sampler: sampler, m: m, stage1: stage1, slots: make([]stagedSlot, window)}
 }
 
-// draw computes inner draw d of a sample: the RDF point x plus one RTN
-// shift from rng, in the normalized space.
-func (s *stagedEval) draw(rng *rand.Rand, x linalg.Vector) linalg.Vector {
-	u := x.Clone()
-	if s.sampler != nil {
-		sh := s.sampler.Sample(rng)
-		if s.e.whiten != nil {
-			u.AddInPlace(s.e.whiten.Whiten(sh.Vector()))
-		} else {
-			for i := range u {
-				u[i] += sh[i] / s.e.sigma[i]
-			}
-		}
-	}
-	return u
-}
-
 // Prepare implements montecarlo.StagedValue for the stage-1 rule. It
 // consumes rng exactly as rtnValue under labelStage1 would: one RTN draw
 // per inner sample, plus (trained classifier) one uniform per draw for the
@@ -221,7 +63,7 @@ func (s *stagedEval) Prepare(rng *rand.Rand, k int, x linalg.Vector) {
 	sl.deferred = sl.deferred[:0]
 	e := s.e
 	for d := 0; d < s.m; d++ {
-		u := s.draw(rng, x)
+		u := s.e.ind.addRTN(rng, s.sampler, x)
 		if e.classifierOff() || !s.lab.trained || rng.Float64() < e.Opts.TrainFrac {
 			sl.deferred = append(sl.deferred, u)
 			continue
@@ -251,13 +93,13 @@ func (s *stagedEval) Generate(rng *rand.Rand, k int, x linalg.Vector) {
 	sl.deferred = sl.deferred[:0]
 	sl.draws = sl.draws[:0]
 	for d := 0; d < s.m; d++ {
-		sl.draws = append(sl.draws, s.draw(rng, x))
+		sl.draws = append(sl.draws, s.e.ind.addRTN(rng, s.sampler, x))
 	}
 }
 
 // Score implements montecarlo.PipelinedValue: the frozen-classifier half of
 // the stage-2 labeling, run after the previous batch's flush barrier. Draw
-// order is preserved, so the deferred list — and with it the simulateBatch
+// order is preserved, so the deferred list — and with it the FailsBatch
 // ordering and the classifier replay — matches the scalar labelStage2 bit
 // for bit. w indexes the per-worker scorer scratch.
 func (s *stagedEval) Score(w, k int) {
@@ -301,7 +143,7 @@ func (s *stagedEval) Resolve(lo, hi int) {
 		s.outs = make([]bool, len(s.pts))
 	}
 	s.outs = s.outs[:len(s.pts)]
-	s.e.simulateBatch(s.pts, s.outs)
+	s.e.ind.FailsBatch(s.pts, s.outs)
 	i := 0
 	for k := lo; k < hi; k++ {
 		sl := &s.slots[k%len(s.slots)]

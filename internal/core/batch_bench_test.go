@@ -27,9 +27,9 @@ func benchPoints(n int) []linalg.Vector {
 
 // BenchmarkSimulateBatch measures one stage-2 settlement barrier: a full
 // batch of indicator calls through the lockstep margin solver. Run with
-// -benchmem — after the first barrier warms the engine scratch, the steady
-// state must be allocation-free (the per-barrier shs/margins buffers and
-// solver tallies are all pooled on the engine).
+// -benchmem — after the first barrier warms the indicator scratch, the
+// steady state must be allocation-free (the per-barrier shs/margins buffers
+// and solver tallies are all pooled on the indicator).
 func BenchmarkSimulateBatch(b *testing.B) {
 	cases := []struct {
 		name string
@@ -43,11 +43,11 @@ func BenchmarkSimulateBatch(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			e := NewEngine(sram.NewCell(0.5), nil, tc.opts)
-			e.simulateBatch(us, out) // warm the engine scratch
+			e.ind.FailsBatch(us, out) // warm the indicator scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.simulateBatch(us, out)
+				e.ind.FailsBatch(us, out)
 			}
 		})
 	}

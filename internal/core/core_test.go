@@ -220,6 +220,16 @@ func TestFailureModeString(t *testing.T) {
 	if ReadFailure.String() != "read" || WriteFailure.String() != "write" || HoldFailure.String() != "hold" {
 		t.Fatal("FailureMode.String broken")
 	}
+	for _, m := range []FailureMode{ReadFailure, WriteFailure, HoldFailure} {
+		if got, err := ParseFailureMode(m.String()); err != nil || got != m {
+			t.Fatalf("ParseFailureMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	for _, bad := range []string{"", "Read", "retention"} {
+		if _, err := ParseFailureMode(bad); err == nil {
+			t.Fatalf("ParseFailureMode(%q) accepted", bad)
+		}
+	}
 }
 
 func TestCovarianceIdentityMatchesDefault(t *testing.T) {

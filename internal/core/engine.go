@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"sync/atomic"
-	"time"
 
 	"ecripse/internal/linalg"
 	"ecripse/internal/montecarlo"
@@ -34,9 +33,7 @@ type Engine struct {
 	Counter *montecarlo.Counter
 	Opts    Options
 
-	sigma      linalg.Vector // per-transistor RDF sigma [V]
-	whiten     *linalg.Whitener
-	snmOpts    *sram.SNMOptions // VTC grid of the indicator
+	ind        *Indicator // the failure indicator every label comes from
 	classifier *svm.Classifier
 	initial    []linalg.Vector // shared boundary particles (normalized space)
 	trustR     float64         // classifier trust radius (normalized units)
@@ -47,11 +44,6 @@ type Engine struct {
 	initSims   int64
 	warmupSims int64
 	classified int64 // labels answered by the classifier (free); atomic
-	solver     sram.SolveTelemetry
-
-	// scratch holds the reusable batch-barrier buffers (see batchScratch);
-	// barriers are single-threaded per engine, so one set suffices.
-	scratch batchScratch
 }
 
 // NewEngine builds an estimator for the cell. The counter may be shared
@@ -61,76 +53,22 @@ func NewEngine(cell *sram.Cell, counter *montecarlo.Counter, opts Options) *Engi
 	if counter == nil {
 		counter = &montecarlo.Counter{}
 	}
-	e := &Engine{
-		Cell:    cell,
-		Counter: counter,
-		Opts:    opts,
-		sigma:   cell.SigmaVth(),
-		snmOpts: &sram.SNMOptions{GridN: 24, BisectIter: 24},
-	}
-	e.snmOpts.Telemetry = &e.solver
-	e.snmOpts.Lanes = opts.BatchLanes
+	var w *linalg.Whitener
 	if opts.Covariance != nil {
-		w, err := linalg.NewWhitener(linalg.NewVector(sram.NumTransistors), opts.Covariance)
+		var err error
+		w, err = linalg.NewWhitener(linalg.NewVector(sram.NumTransistors), opts.Covariance)
 		if err != nil {
 			panic("core: invalid covariance: " + err.Error())
 		}
-		e.whiten = w
 	}
-	return e
+	ind := NewIndicator(cell, opts.Mode, w, counter, opts.IndicatorHist)
+	ind.snm.Lanes = opts.BatchLanes
+	ind.workers = opts.Parallelism
+	return &Engine{Cell: cell, Counter: counter, Opts: opts, ind: ind}
 }
 
 // Sigma returns the per-transistor RDF standard deviations [V].
-func (e *Engine) Sigma() linalg.Vector { return e.sigma.Clone() }
-
-// simulate evaluates the true indicator at a *total* normalized shift
-// vector u (RDF + RTN combined, in units of the RDF sigma). One call is one
-// transistor-level simulation. Safe for concurrent use: the counter is
-// atomic and the cell is never mutated during evaluation. When
-// Opts.IndicatorHist is set the call is timed into it; the timing never
-// feeds back into the result.
-func (e *Engine) simulate(u linalg.Vector) bool {
-	h := e.Opts.IndicatorHist
-	if h == nil {
-		return e.indicator(u)
-	}
-	t0 := time.Now()
-	failed := e.indicator(u)
-	h.Observe(time.Since(t0).Seconds())
-	return failed
-}
-
-// shifts converts a normalized variability point into the physical
-// per-transistor threshold shifts the cell model takes.
-func (e *Engine) shifts(u linalg.Vector) sram.Shifts {
-	if e.whiten != nil {
-		return sram.FromVector(e.whiten.Unwhiten(u))
-	}
-	var sh sram.Shifts
-	for i := range sh {
-		sh[i] = u[i] * e.sigma[i]
-	}
-	return sh
-}
-
-// indicator is the untimed indicator body.
-func (e *Engine) indicator(u linalg.Vector) bool {
-	e.Counter.Add(1)
-	return e.margin(e.shifts(u)) < 0
-}
-
-// margin evaluates the mode's signed margin [V]; every failure criterion is
-// margin < 0 (read/hold: Seevinck SNM, write: static write margin).
-func (e *Engine) margin(sh sram.Shifts) float64 {
-	switch e.Opts.Mode {
-	case WriteFailure:
-		return e.Cell.WriteMargin(sh, e.snmOpts)
-	case HoldFailure:
-		return e.Cell.HoldSNM(sh, e.snmOpts)
-	default:
-		return e.Cell.ReadSNM(sh, e.snmOpts)
-	}
-}
+func (e *Engine) Sigma() linalg.Vector { return e.ind.sigma.Clone() }
 
 // rtnValue computes Pfail_RTN(x) (eq. (17)) for an RDF point x: m RTN draws
 // from rng added to x in the normalized space, each labeled by lab.
@@ -138,20 +76,7 @@ func (e *Engine) margin(sh sram.Shifts) float64 {
 func (e *Engine) rtnValue(rng *rand.Rand, sampler *rtn.Sampler, m int, x linalg.Vector, lab func(linalg.Vector) bool) float64 {
 	fails := 0
 	for k := 0; k < m; k++ {
-		u := x.Clone()
-		if sampler != nil {
-			sh := sampler.Sample(rng)
-			if e.whiten != nil {
-				// In the whitened space the additive physical shift maps
-				// through L⁻¹ (zero-mean Whiten).
-				u.AddInPlace(e.whiten.Whiten(sh.Vector()))
-			} else {
-				for i := range u {
-					u[i] += sh[i] / e.sigma[i]
-				}
-			}
-		}
-		if lab(u) {
+		if lab(e.ind.addRTN(rng, sampler, x)) {
 			fails++
 		}
 	}
@@ -180,9 +105,9 @@ func (e *Engine) InitCtx(ctx context.Context, rng *rand.Rand) {
 	bseed := rng.Int63()
 	_, bspan := obsv.StartSpan(ctx, "boundary.init")
 	if e.Opts.scalarPath {
-		e.initial = pfilter.BoundaryInitPar(bseed, dim, e.Opts.Directions, e.Opts.RMax, e.Opts.RTol, e.simulate, e.Opts.Parallelism)
+		e.initial = pfilter.BoundaryInitPar(bseed, dim, e.Opts.Directions, e.Opts.RMax, e.Opts.RTol, e.ind.Fails, e.Opts.Parallelism)
 	} else {
-		e.initial = pfilter.BoundaryInitBatch(bseed, dim, e.Opts.Directions, e.Opts.RMax, e.Opts.RTol, e.simulateBatch, e.Opts.Parallelism)
+		e.initial = pfilter.BoundaryInitBatch(bseed, dim, e.Opts.Directions, e.Opts.RMax, e.Opts.RTol, e.ind.FailsBatch, e.Opts.Parallelism)
 	}
 	if len(e.initial) == 0 {
 		// Pathological cell: fall back to a ring at RMax so downstream code
@@ -235,13 +160,13 @@ func (e *Engine) InitCtx(ctx context.Context, rng *rand.Rand) {
 		}
 		xs[i] = u
 		if e.Opts.scalarPath {
-			ys[i] = e.simulate(u)
+			ys[i] = e.ind.Fails(u)
 		}
 	})
 	if !e.Opts.scalarPath {
 		// The parallel loop above only staged the points (consuming exactly
 		// the scalar path's randomness); label them in one batched sweep.
-		e.simulateBatch(xs, ys)
+		e.ind.FailsBatch(xs, ys)
 	}
 	e.classifier.Train(rng, xs, ys, e.Opts.Epochs)
 	e.warmupSims = e.Counter.Count() - start
@@ -287,8 +212,8 @@ func (e *Engine) Run(rng *rand.Rand, sampler *rtn.Sampler) Result {
 func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sampler) (Result, error) {
 	start := e.Counter.Count()
 	classifiedStart := atomic.LoadInt64(&e.classified)
-	solvesStart, itersStart := e.solver.Totals()
-	laneSlotsStart, laneOccStart := e.solver.LaneTotals()
+	solvesStart, itersStart := e.ind.solver.Totals()
+	laneSlotsStart, laneOccStart := e.ind.solver.LaneTotals()
 	// Telemetry carriers, resolved once: spans record the phase timeline,
 	// the emitter streams convergence diagnostics, the health monitor
 	// evaluates the statistical watchdog rules. All are nil/no-op when the
@@ -458,8 +383,8 @@ func (e *Engine) RunCtx(ctx context.Context, rng *rand.Rand, sampler *rtn.Sample
 	}
 
 	fin := series.Final()
-	solves, iters := e.solver.Totals()
-	laneSlots, laneOcc := e.solver.LaneTotals()
+	solves, iters := e.ind.solver.Totals()
+	laneSlots, laneOcc := e.ind.solver.LaneTotals()
 	return Result{
 		Series: series,
 		Estimate: stats.Estimate{

@@ -6,6 +6,8 @@
 package core
 
 import (
+	"fmt"
+
 	"ecripse/internal/linalg"
 	"ecripse/internal/obsv"
 )
@@ -33,6 +35,17 @@ func (m FailureMode) String() string {
 	default:
 		return "read"
 	}
+}
+
+// ParseFailureMode is the inverse of FailureMode.String: it accepts
+// "read", "write" or "hold".
+func ParseFailureMode(s string) (FailureMode, error) {
+	for _, m := range []FailureMode{ReadFailure, WriteFailure, HoldFailure} {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return ReadFailure, fmt.Errorf("unknown mode %q (want read, write or hold)", s)
 }
 
 // Options are the tuning knobs of the estimator. Zero values select the
@@ -93,7 +106,7 @@ type Options struct {
 	BatchLanes int
 
 	// scalarPath forces the per-sample evaluation path that predates the
-	// batched indicator: every simulate call runs its own root solves
+	// batched indicator: every indicator call runs its own root solves
 	// inside the worker that drew the sample. Both paths produce
 	// bit-identical results — this is the cross-check hook the staged-vs-
 	// scalar equivalence suite uses, kept unexported because there is no

@@ -130,7 +130,7 @@ func (l *batchLabeler) scoreW(w int, u linalg.Vector) float64 {
 func (l *batchLabeler) labelStage1(rng *rand.Rand, idx int, u linalg.Vector) bool {
 	e := l.e
 	if e.classifierOff() || !l.trained || rng.Float64() < e.Opts.TrainFrac {
-		failed := e.simulate(u)
+		failed := e.ind.Fails(u)
 		l.record(idx, u, failed)
 		return failed
 	}
@@ -150,7 +150,7 @@ func (l *batchLabeler) labelStage2(idx int, u linalg.Vector) bool {
 			return s > 0
 		}
 	}
-	failed := e.simulate(u)
+	failed := e.ind.Fails(u)
 	l.record(idx, u, failed)
 	return failed
 }

@@ -45,9 +45,10 @@ func requireResultMatch(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// stagedCases are the five engine configurations the path-equivalence
+// stagedCases are the six engine configurations the path-equivalence
 // suites pin: plain RDF, RTN, RDF on four workers, the no-classifier
-// ablation and hold mode at a non-default lane width.
+// ablation, hold mode at a non-default lane width, and write mode, whose
+// batch entry falls back to the scalar solve.
 var stagedCases = []struct {
 	name string
 	opts Options
@@ -58,6 +59,7 @@ var stagedCases = []struct {
 	{"rdf-parallel", Options{NIS: 3000, Parallelism: 4, Directions: 64, WarmupTrain: 120, PFIters: 2}, false},
 	{"noclassifier", Options{NIS: 800, NoClassifier: true, Directions: 48, PFIters: 2}, false},
 	{"hold-lanes256", Options{Mode: HoldFailure, NIS: 1500, BatchLanes: 256, Directions: 48, WarmupTrain: 120, PFIters: 2}, false},
+	{"write", Options{Mode: WriteFailure, NIS: 1200, Directions: 48, WarmupTrain: 120, PFIters: 2}, false},
 }
 
 // stagedSampler builds the RTN sampler a case asks for.
@@ -71,7 +73,7 @@ func stagedSampler(cell *sram.Cell, cfg rtn.Config, want bool) *rtn.Sampler {
 // TestStagedMatchesScalar pins the batched evaluation path — staged
 // boundary search, warm-up labeling and particle-filter measurement, then
 // pipelined stage-2 importance sampling, all settling their indicator calls
-// through simulateBatch — to the per-sample scalar path bit for bit:
+// through Indicator.FailsBatch — to the per-sample scalar path bit for bit:
 // identical estimate, convergence series, cost split and solver-effort
 // counters for the same seed.
 func TestStagedMatchesScalar(t *testing.T) {

@@ -80,13 +80,13 @@ type Fig4Result struct {
 // the variability space (ΔVth of D1 and A1, all other devices nominal).
 func Fig4(seed int64) Fig4Result {
 	cell := sram.NewCell(0.7)
-	sigma := cell.SigmaVth()
-	opt := &sram.SNMOptions{GridN: 24, BisectIter: 24}
+	ind := core.NewIndicator(cell, core.ReadFailure, nil, nil, nil)
+	u := make(linalg.Vector, sram.NumTransistors)
 	fails := func(x linalg.Vector) bool {
-		var sh sram.Shifts
-		sh[sram.D1] = x[0] * sigma[sram.D1]
-		sh[sram.A1] = x[1] * sigma[sram.A1]
-		return cell.Fails(sh, opt)
+		// The slice embeds as a zero-padded 6-vector (0·σ = +0, so the
+		// other devices stay exactly nominal).
+		u[sram.D1], u[sram.A1] = x[0], x[1]
+		return ind.Fails(u)
 	}
 	weight := func(x linalg.Vector) float64 {
 		if !fails(x) {

@@ -21,24 +21,6 @@ func statsEstimate(p stats.Point, n int, sims int64) stats.Estimate {
 	return stats.Estimate{P: p.P, CI95: p.CI95, RelErr: p.RelErr, N: n, Sims: sims}
 }
 
-// cellValue wraps the SRAM indicator as a counted montecarlo.Value in the
-// normalized space.
-func cellValue(cell *sram.Cell, c *montecarlo.Counter) montecarlo.Value {
-	sigma := cell.SigmaVth()
-	opt := &sram.SNMOptions{GridN: 24, BisectIter: 24}
-	return func(x linalg.Vector) float64 {
-		c.Add(1)
-		var sh sram.Shifts
-		for i := range sh {
-			sh[i] = x[i] * sigma[i]
-		}
-		if cell.Fails(sh, opt) {
-			return 1
-		}
-		return 0
-	}
-}
-
 // Fig6Result compares the proposed method with the conventional baseline
 // on the RDF-only problem at nominal supply.
 type Fig6Result struct {
@@ -74,8 +56,8 @@ func Fig6(seed int64, scale Scale) Fig6Result {
 	proposed := MethodSeries{Name: "proposed (ECRIPSE)", Series: resP.Series, Estimate: resP.Estimate}
 
 	rngC := rand.New(rand.NewSource(seed + 1))
-	var cc montecarlo.Counter
-	resC := sis.Estimate(rngC, sram.NumTransistors, cellValue(cell, &cc), &cc,
+	indC := core.NewIndicator(cell, core.ReadFailure, nil, nil, nil)
+	resC := sis.Estimate(rngC, sram.NumTransistors, indC.Value, indC.Counter(),
 		&sis.Options{NIS: nisConv, RecordEvery: nisConv / 200}, nil)
 	conventional := MethodSeries{Name: "conventional (SIS [8])", Series: resC.Series, Estimate: resC.Estimate}
 
@@ -132,30 +114,25 @@ func Fig7(seed int64, scale Scale, alpha float64, eng *core.Engine) (Fig7Result,
 	cell := sram.NewCell(0.5)
 	cfg := rtn.TableIConfig(cell)
 	sampler := rtn.NewSampler(cell, cfg, alpha)
-	sigma := cell.SigmaVth()
-	snm := &sram.SNMOptions{GridN: 24, BisectIter: 24}
 
 	rngN := rand.New(rand.NewSource(seed))
-	var cn montecarlo.Counter
 	// The naive reference settles its indicator calls through the lockstep
 	// batch solver: draws stay on the sequential rng in trial order, labels
-	// are bit-identical to cell.Fails, and NaiveBatched replays the scalar
-	// recording schedule — so the series matches the per-trial loop exactly
-	// while the margins march through the batch kernel.
+	// are bit-identical to the scalar indicator, and NaiveBatched replays
+	// the scalar recording schedule — so the series matches the per-trial
+	// loop exactly while the margins march through the batch kernel.
+	indN := core.NewIndicator(cell, core.ReadFailure, nil, nil, nil)
+	cn := indN.Counter()
+	x := make(linalg.Vector, sram.NumTransistors)
 	shs := make([]sram.Shifts, montecarlo.DefaultBatch)
-	outs := make([]sram.SNMResult, montecarlo.DefaultBatch)
 	draw := func(r *rand.Rand, slot int) {
-		var sh sram.Shifts
-		for i := range sh {
-			sh[i] = sigma[i] * r.NormFloat64()
+		for i := range x {
+			x[i] = r.NormFloat64()
 		}
-		shs[slot] = sh.Add(sampler.Sample(r))
+		shs[slot] = indN.Shifts(x).Add(sampler.Sample(r))
 	}
-	label := func(slots int, fails []bool) {
-		cn.Add(int64(slots))
-		cell.FailsBatch(shs[:slots], fails, outs[:slots], snm)
-	}
-	naiveSeries := montecarlo.NaiveBatched(context.Background(), rngN, draw, label, nNaive, montecarlo.DefaultBatch, &cn, nNaive/200)
+	label := func(slots int, fails []bool) { indN.FailsShiftsBatch(shs[:slots], fails) }
+	naiveSeries := montecarlo.NaiveBatched(context.Background(), rngN, draw, label, nNaive, montecarlo.DefaultBatch, cn, nNaive/200)
 	fin := naiveSeries.Final()
 	naive := MethodSeries{Name: fmt.Sprintf("naive MC (alpha=%.1f)", alpha), Series: naiveSeries,
 		Estimate: statsEstimate(fin, nNaive, cn.Count())}

@@ -43,78 +43,57 @@ func Methods(seed int64, scale Scale, vdd float64) MethodsResult {
 		nNaive, nisSIS, nBlockade, nSubset, nisEcripse = 500000, 100000, 300000, 4000, 600000
 	}
 	cell := sram.NewCell(vdd)
-	sigma := cell.SigmaVth()
-	snm := &sram.SNMOptions{GridN: 24, BisectIter: 24}
-
-	shiftOf := func(x linalg.Vector) sram.Shifts {
-		var sh sram.Shifts
-		for i := range sh {
-			sh[i] = x[i] * sigma[i]
-		}
-		return sh
-	}
+	// Each baseline bills its own fresh indicator.
+	newInd := func() *core.Indicator { return core.NewIndicator(cell, core.ReadFailure, nil, nil, nil) }
 
 	out := MethodsResult{Vdd: vdd}
 
 	// Naive MC (also the reference).
 	{
-		var c montecarlo.Counter
+		ind := newInd()
+		x := make(linalg.Vector, sram.NumTransistors)
 		trial := func(r *rand.Rand) bool {
-			c.Add(1)
-			var sh sram.Shifts
-			for i := range sh {
-				sh[i] = sigma[i] * r.NormFloat64()
+			for i := range x {
+				x[i] = r.NormFloat64()
 			}
-			return cell.Fails(sh, snm)
+			return ind.Fails(x)
 		}
-		series := montecarlo.Naive(rand.New(rand.NewSource(seed)), trial, nNaive, &c, 0)
+		series := montecarlo.Naive(rand.New(rand.NewSource(seed)), trial, nNaive, ind.Counter(), 0)
 		fin := series.Final()
-		est := stats.Estimate{P: fin.P, CI95: fin.CI95, RelErr: fin.RelErr, N: nNaive, Sims: c.Count()}
+		est := stats.Estimate{P: fin.P, CI95: fin.CI95, RelErr: fin.RelErr, N: nNaive, Sims: ind.Counter().Count()}
 		out.Reference = est.P
 		out.Rows = append(out.Rows, MethodRow{"naive MC", est})
 	}
 
 	// Quasi-MC naive (Halton).
 	{
-		var c montecarlo.Counter
-		value := func(x linalg.Vector) float64 {
-			c.Add(1)
-			if cell.Fails(shiftOf(x), snm) {
-				return 1
-			}
-			return 0
-		}
-		series := montecarlo.NaiveQMC(sram.NumTransistors, value, nNaive, &c, 0)
+		ind := newInd()
+		series := montecarlo.NaiveQMC(sram.NumTransistors, ind.Value, nNaive, ind.Counter(), 0)
 		fin := series.Final()
 		out.Rows = append(out.Rows, MethodRow{"quasi-MC (Halton)",
-			stats.Estimate{P: fin.P, CI95: fin.CI95, RelErr: fin.RelErr, N: nNaive, Sims: c.Count()}})
+			stats.Estimate{P: fin.P, CI95: fin.CI95, RelErr: fin.RelErr, N: nNaive, Sims: ind.Counter().Count()}})
 	}
 
 	// Conventional SIS [8].
 	{
-		var c montecarlo.Counter
+		ind := newInd()
 		res := sis.Estimate(rand.New(rand.NewSource(seed+1)), sram.NumTransistors,
-			cellValue(cell, &c), &c, &sis.Options{NIS: nisSIS}, nil)
+			ind.Value, ind.Counter(), &sis.Options{NIS: nisSIS}, nil)
 		out.Rows = append(out.Rows, MethodRow{"sequential IS [8]", res.Estimate})
 	}
 
 	// Statistical blockade [12].
 	{
-		var c montecarlo.Counter
-		fails := func(x linalg.Vector) bool {
-			c.Add(1)
-			return cell.Fails(shiftOf(x), snm)
-		}
+		ind := newInd()
 		res := blockade.Estimate(rand.New(rand.NewSource(seed+2)), sram.NumTransistors,
-			fails, &c, nBlockade, nil)
+			ind.Fails, ind.Counter(), nBlockade, nil)
 		out.Rows = append(out.Rows, MethodRow{"statistical blockade [12]", res.Estimate})
 	}
 
 	// Subset simulation.
 	{
-		g := func(x linalg.Vector) float64 { return cell.ReadSNM(shiftOf(x), snm) }
 		res := subset.Estimate(rand.New(rand.NewSource(seed+3)), sram.NumTransistors,
-			g, &subset.Options{N: nSubset})
+			newInd().Margin, &subset.Options{N: nSubset})
 		out.Rows = append(out.Rows, MethodRow{"subset simulation", res.Estimate})
 	}
 

@@ -10,8 +10,7 @@ import (
 	"time"
 
 	"ecripse/internal/blockade"
-	"ecripse/internal/linalg"
-	"ecripse/internal/montecarlo"
+	"ecripse/internal/core"
 	"ecripse/internal/sis"
 	"ecripse/internal/sram"
 	"ecripse/internal/stats"
@@ -54,24 +53,14 @@ type regressGolden struct {
 func runRegressCase(c regressCase) (stats.Estimate, error) {
 	cell := sram.NewCell(c.Vdd)
 	rng := rand.New(rand.NewSource(c.Seed))
-	var cc montecarlo.Counter
+	ind := core.NewIndicator(cell, core.ReadFailure, nil, nil, nil)
 	switch c.Estimator {
 	case "sis":
-		res := sis.Estimate(rng, sram.NumTransistors, cellValue(cell, &cc), &cc,
+		res := sis.Estimate(rng, sram.NumTransistors, ind.Value, ind.Counter(),
 			&sis.Options{NIS: c.N}, nil)
 		return res.Estimate, nil
 	case "blockade":
-		sigma := cell.SigmaVth()
-		opt := &sram.SNMOptions{GridN: 24, BisectIter: 24}
-		fails := func(x linalg.Vector) bool {
-			cc.Add(1)
-			var sh sram.Shifts
-			for i := range sh {
-				sh[i] = x[i] * sigma[i]
-			}
-			return cell.Fails(sh, opt)
-		}
-		res := blockade.Estimate(rng, sram.NumTransistors, fails, &cc, c.N, nil)
+		res := blockade.Estimate(rng, sram.NumTransistors, ind.Fails, ind.Counter(), c.N, nil)
 		return res.Estimate, nil
 	}
 	return stats.Estimate{}, fmt.Errorf("unknown estimator %q", c.Estimator)

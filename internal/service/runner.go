@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"ecripse/internal/blockade"
 	"ecripse/internal/core"
@@ -226,44 +225,10 @@ func runSpec(ctx context.Context, s JobSpec, counter *montecarlo.Counter) (*RunR
 func runEstimator(ctx context.Context, s JobSpec, counter *montecarlo.Counter) (*RunResult, error) {
 	cell := s.buildCell()
 	rng := rand.New(rand.NewSource(s.Seed))
-	sigma := cell.SigmaVth()
-	// Per-job solver telemetry for the non-ecripse estimators (the ecripse
-	// engine carries its own and reports it through core.Result).
-	tel := &sram.SolveTelemetry{}
-	snm := &sram.SNMOptions{GridN: 24, BisectIter: 24, Telemetry: tel}
-	mode := s.failureMode()
-
+	mode, _ := core.ParseFailureMode(s.Mode) // Normalize validated it
 	hooks := hooksFrom(ctx)
 
-	// fails is the counted 0/1 indicator in the normalized space, matching
-	// the closures of the top-level library facade exactly.
-	fails := func(x linalg.Vector) bool {
-		counter.Add(1)
-		var sh sram.Shifts
-		for i := range sh {
-			sh[i] = x[i] * sigma[i]
-		}
-		switch mode {
-		case core.WriteFailure:
-			return cell.WriteFails(sh, snm)
-		case core.HoldFailure:
-			return cell.HoldSNM(sh, snm) < 0
-		default:
-			return cell.Fails(sh, snm)
-		}
-	}
-	if h := hooks.indicatorHist; h != nil {
-		inner := fails
-		fails = func(x linalg.Vector) bool {
-			t0 := time.Now()
-			failed := inner(x)
-			h.Observe(time.Since(t0).Seconds())
-			return failed
-		}
-	}
-
-	switch s.Estimator {
-	case EstECRIPSE:
+	if s.Estimator == EstECRIPSE {
 		eng := core.NewEngine(cell, counter, core.Options{
 			NIS: s.N, M: s.M, Mode: mode, NoClassifier: s.NoClassifier,
 			Parallelism: s.Parallelism, IndicatorHist: hooks.indicatorHist,
@@ -310,7 +275,14 @@ func runEstimator(ctx context.Context, s JobSpec, counter *montecarlo.Counter) (
 			err = exportWarm(eng, s, out)
 		}
 		return out, err
+	}
 
+	// The baselines share one counted, timed indicator; its solver
+	// telemetry is the job's root-solve effort.
+	ind := core.NewIndicator(cell, mode, nil, counter, hooks.indicatorHist)
+	out := &RunResult{}
+	var err error
+	switch s.Estimator {
 	case EstNaive:
 		var sampler *rtn.Sampler
 		if s.RTN {
@@ -322,92 +294,38 @@ func runEstimator(ctx context.Context, s JobSpec, counter *montecarlo.Counter) (
 				x[i] = r.NormFloat64()
 			}
 			if sampler != nil {
-				counter.Add(1)
-				var sh sram.Shifts
-				for i := range sh {
-					sh[i] = x[i] * sigma[i]
-				}
-				sh = sh.Add(sampler.Sample(r))
-				switch mode {
-				case core.WriteFailure:
-					return cell.WriteFails(sh, snm)
-				case core.HoldFailure:
-					return cell.HoldSNM(sh, snm) < 0
-				default:
-					return cell.Fails(sh, snm)
-				}
+				// RTN adds in physical units, after the RDF draw.
+				return ind.FailsShifts(ind.Shifts(x).Add(sampler.Sample(r)))
 			}
-			return fails(x)
+			return ind.Fails(x)
 		}
 		series := montecarlo.NaiveCtx(ctx, rng, trial, s.N, counter, 0)
 		fin := series.Final()
-		out := &RunResult{
-			Estimate: toEstimate(stats.Estimate{
-				P: fin.P, CI95: fin.CI95, RelErr: fin.RelErr, N: s.N, Sims: counter.Count(),
-			}),
-			Series: toSeries(series),
-		}
-		out.Cost.RootSolves, out.Cost.SolverIters = tel.Totals()
-		return out, ctx.Err()
+		out.Estimate = toEstimate(stats.Estimate{
+			P: fin.P, CI95: fin.CI95, RelErr: fin.RelErr, N: s.N, Sims: counter.Count(),
+		})
+		out.Series = toSeries(series)
+		err = ctx.Err()
 
 	case EstSIS:
-		value := func(x linalg.Vector) float64 {
-			if fails(x) {
-				return 1
-			}
-			return 0
-		}
-		r, err := sis.EstimateCtx(ctx, rng, sram.NumTransistors, value, counter, &sis.Options{NIS: s.N}, nil)
-		out := &RunResult{
-			Estimate: toEstimate(r.Estimate),
-			Series:   toSeries(r.Series),
-			Cost:     CostSplit{Init: r.InitSims, Stage1: r.PFSims, Stage2: r.ISSims},
-		}
-		out.Cost.RootSolves, out.Cost.SolverIters = tel.Totals()
-		return out, err
+		var r sis.Result
+		r, err = sis.EstimateCtx(ctx, rng, sram.NumTransistors, ind.Value, counter, &sis.Options{NIS: s.N}, nil)
+		out.Estimate, out.Series = toEstimate(r.Estimate), toSeries(r.Series)
+		out.Cost = CostSplit{Init: r.InitSims, Stage1: r.PFSims, Stage2: r.ISSims}
 
 	case EstBlockade:
-		r, err := blockade.EstimateCtx(ctx, rng, sram.NumTransistors, fails, counter, s.N, nil)
-		out := &RunResult{
-			Estimate: toEstimate(r.Estimate),
-			Series:   toSeries(r.Series),
-			Cost:     CostSplit{Warmup: r.TrainSims, Stage2: r.Passed, Classified: r.Blocked},
-		}
-		out.Cost.RootSolves, out.Cost.SolverIters = tel.Totals()
-		return out, err
+		var r blockade.Result
+		r, err = blockade.EstimateCtx(ctx, rng, sram.NumTransistors, ind.Fails, counter, s.N, nil)
+		out.Estimate, out.Series = toEstimate(r.Estimate), toSeries(r.Series)
+		out.Cost = CostSplit{Warmup: r.TrainSims, Stage2: r.Passed, Classified: r.Blocked}
 
 	case EstSubset:
-		g := func(x linalg.Vector) float64 {
-			counter.Add(1)
-			var sh sram.Shifts
-			for i := range sh {
-				sh[i] = x[i] * sigma[i]
-			}
-			switch mode {
-			case core.WriteFailure:
-				return cell.WriteMargin(sh, snm)
-			case core.HoldFailure:
-				return cell.HoldSNM(sh, snm)
-			default:
-				return cell.ReadSNM(sh, snm)
-			}
-		}
-		if h := hooks.indicatorHist; h != nil {
-			inner := g
-			g = func(x linalg.Vector) float64 {
-				t0 := time.Now()
-				v := inner(x)
-				h.Observe(time.Since(t0).Seconds())
-				return v
-			}
-		}
-		r, err := subset.EstimateCtx(ctx, rng, sram.NumTransistors, g, &subset.Options{N: s.N})
-		out := &RunResult{Estimate: toEstimate(r.Estimate)}
-		out.Cost.RootSolves, out.Cost.SolverIters = tel.Totals()
-		return out, err
+		var r subset.Result
+		r, err = subset.EstimateCtx(ctx, rng, sram.NumTransistors, ind.Margin, &subset.Options{N: s.N})
+		out.Estimate = toEstimate(r.Estimate)
 	}
-	// Normalize guarantees a known estimator; this is unreachable.
-	return &RunResult{}, nil
+	out.Cost.RootSolves, out.Cost.SolverIters = ind.Solver().Totals()
+	return out, err
 }
 
 // resolveWarm fetches the predecessor result named by spec.WarmIn through

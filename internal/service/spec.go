@@ -125,12 +125,11 @@ func (s *JobSpec) Normalize() error {
 			return fmt.Errorf("spec: sweep duty ratios must be finite")
 		}
 	}
-	switch s.Mode {
-	case "":
-		s.Mode = "read"
-	case "read", "write", "hold":
-	default:
-		return fmt.Errorf("spec: unknown mode %q (want read, write or hold)", s.Mode)
+	if s.Mode == "" {
+		s.Mode = core.ReadFailure.String()
+	}
+	if _, err := core.ParseFailureMode(s.Mode); err != nil {
+		return fmt.Errorf("spec: %w", err)
 	}
 	switch s.Estimator {
 	case "":
@@ -257,16 +256,4 @@ func (s JobSpec) buildCell() *sram.Cell {
 		return sram.NewCellAt(s.Vdd, s.TempK)
 	}
 	return sram.NewCell(s.Vdd)
-}
-
-// failureMode maps the spec's mode string onto the core enum.
-func (s JobSpec) failureMode() core.FailureMode {
-	switch s.Mode {
-	case "write":
-		return core.WriteFailure
-	case "hold":
-		return core.HoldFailure
-	default:
-		return core.ReadFailure
-	}
 }
